@@ -29,16 +29,15 @@
 //! generation, event/record counts, string-table size, window duration,
 //! the per-CPU context-switch histogram and the per-wait-reason census —
 //! all through the streaming decoder, so checksums are still enforced.
-//! `timeline` streams the same way: both trace generations fold into the
-//! bucketed series without ever materializing the event vector.
 //!
 //! The analysis subcommands (`verify`, `tlp`, `latency`, `bottlenecks`,
-//! `critical-path`, `timeline`) accept a global `--analyzer-shards N`
-//! flag that routes them through the sharded streaming path: blocks of a
-//! revision-2 SETL v3 file decode in parallel on `N` workers (`0` = one
-//! per hardware thread) and fold into byte-identical reports. Sharding
-//! requires a blocked v3 file — flat v1/v2 traces and revision-1 streams
-//! exit 2 with a message pointing at `tracetool pack`.
+//! `critical-path`, `timeline`) open the file through one loader and
+//! decode its blocks on one worker per hardware thread, never
+//! materializing the event vector; the reports are byte-identical at any
+//! worker count. A revision-2 SETL v3 file (what `pack` and `synth` write)
+//! is indexed in place. Flat v1/v2 files and revision-1 v3 streams carry no
+//! block index, so the loader decodes them and re-encodes them as revision
+//! 2 first.
 
 use etwtrace::{
     analysis, blame, chrome, critical, etl, export, hb, setl3, verify, EtlTrace, PidSet,
@@ -48,7 +47,7 @@ use machine::{Machine, MachineConfig};
 use parastat::ThreadPoolRunner;
 use simcore::{SimDuration, SimTime};
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{self, BufWriter};
 use workloads::{build, AppId, WorkloadOpts};
 
 fn main() {
@@ -58,8 +57,7 @@ fn main() {
         std::path::PathBuf::from("target/flight-recorder/tracetool.json"),
         chrome::self_trace_json,
     );
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let shards = take_shards(&mut args);
+    let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("record") => {
             let [_, app, secs, out] = &args[..] else {
@@ -106,37 +104,19 @@ fn main() {
             }
         }
         Some("tlp") => {
-            let [_, path, prefix] = &args[..] else {
-                usage("tlp <trace.etl> <process-prefix>");
-            };
-            let (profile, util, lat, sched, engines, filter);
-            if let Some(shards) = shards {
-                let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(path);
-                filter = sharded_filter(&trace, &runner, shards, prefix);
-                profile = analysis::concurrency_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                util = analysis::gpu_utilization_sharded(&trace, &filter, None, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                lat = analysis::scheduling_latency_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                sched = analysis::schedule_stats_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                engines =
-                    analysis::gpu_engine_breakdown_sharded(&trace, &filter, 0, &runner, shards)
-                        .unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-            } else {
-                let trace = read(path);
-                filter = trace.pids_by_name(prefix);
-                if filter.is_empty() {
-                    usage(&format!("no process matches `{prefix}`"));
-                }
-                profile = analysis::concurrency(&trace, &filter);
-                util = analysis::gpu_utilization(&trace, &filter, None);
-                lat = analysis::scheduling_latency(&trace, &filter);
-                sched = analysis::schedule_stats(&trace, &filter);
-                engines = analysis::gpu_engine_breakdown(&trace, &filter, 0);
-            }
+            let (t, filter) = Blocked::open_filtered(&args, "tlp");
+            let (pool, n) = (&t.pool, t.shards);
+            let profile = t.ok(analysis::concurrency_sharded(&t.trace, &filter, pool, n));
+            let util = t.ok(analysis::gpu_utilization_sharded(
+                &t.trace, &filter, None, pool, n,
+            ));
+            let lat = t.ok(analysis::scheduling_latency_sharded(
+                &t.trace, &filter, pool, n,
+            ));
+            let sched = t.ok(analysis::schedule_stats_sharded(&t.trace, &filter, pool, n));
+            let engines = t.ok(analysis::gpu_engine_breakdown_sharded(
+                &t.trace, &filter, 0, pool, n,
+            ));
             println!("processes        : {}", filter.len());
             println!("TLP              : {:.3}", profile.tlp());
             println!("max concurrency  : {}", profile.max_concurrency());
@@ -171,23 +151,10 @@ fn main() {
             println!("c0..cN (%)       : {}", c.join(" "));
         }
         Some("latency") => {
-            let [_, path, prefix] = &args[..] else {
-                usage("latency <trace.etl> <process-prefix>");
-            };
-            let lat = if let Some(shards) = shards {
-                let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(path);
-                let filter = sharded_filter(&trace, &runner, shards, prefix);
-                analysis::scheduling_latency_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
-            } else {
-                let trace = read(path);
-                let filter = trace.pids_by_name(prefix);
-                if filter.is_empty() {
-                    usage(&format!("no process matches `{prefix}`"));
-                }
-                analysis::scheduling_latency(&trace, &filter)
-            };
+            let (t, filter) = Blocked::open_filtered(&args, "latency");
+            let lat = t.ok(analysis::scheduling_latency_sharded(
+                &t.trace, &filter, &t.pool, t.shards,
+            ));
             println!("sched events     : {}", lat.count);
             println!("mean latency     : {:.1} µs", lat.mean_us);
             println!("p50 latency      : {:.1} µs", lat.p50_us);
@@ -196,44 +163,29 @@ fn main() {
             println!("max latency      : {:.1} µs", lat.max_us);
         }
         Some("bottlenecks") => {
-            if let Some(shards) = shards {
-                let (trace, filter, runner) = load_sharded_filtered(&args, "bottlenecks", shards);
-                let report = blame::blame_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
-                print!("{}", report.render());
-            } else {
-                let (trace, filter) = load_filtered(&args, "bottlenecks");
-                print!("{}", blame::blame(&trace, &filter).render());
-            }
+            let (t, filter) = Blocked::open_filtered(&args, "bottlenecks");
+            let report = t.ok(blame::blame_sharded(&t.trace, &filter, &t.pool, t.shards));
+            print!("{}", report.render());
         }
         Some("critical-path") => {
-            if let Some(shards) = shards {
-                let (trace, filter, runner) = load_sharded_filtered(&args, "critical-path", shards);
-                let report = critical::critical_path_sharded(&trace, &filter, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
-                print!("{}", report.render());
-            } else {
-                let (trace, filter) = load_filtered(&args, "critical-path");
-                print!("{}", critical::critical_path(&trace, &filter).render());
-            }
+            let (t, filter) = Blocked::open_filtered(&args, "critical-path");
+            let report = t.ok(critical::critical_path_sharded(
+                &t.trace, &filter, &t.pool, t.shards,
+            ));
+            print!("{}", report.render());
         }
         Some("verify") => {
-            let (report, causal);
-            if let Some(shards) = shards {
-                if args.len() != 2 {
-                    usage("verify <trace.etl>");
-                }
-                let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(&args[1]);
-                report = verify::verify_sharded(&trace, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
-                causal = hb::analyze_sharded(&trace, &hb::HbOptions::default(), &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{e}")));
-            } else {
-                let trace = load(&args, 2);
-                report = verify::verify_trace(&trace);
-                causal = hb::analyze(&trace, &hb::HbOptions::default());
+            if args.len() != 2 {
+                usage("verify <trace.etl>");
             }
+            let t = Blocked::open(&args[1]);
+            let report = t.ok(verify::verify_sharded(&t.trace, &t.pool, t.shards));
+            let causal = t.ok(hb::analyze_sharded(
+                &t.trace,
+                &hb::HbOptions::default(),
+                &t.pool,
+                t.shards,
+            ));
             print!("{}", report.render());
             print!("{}", causal.render());
             if !report.is_clean() || !causal.is_clean() {
@@ -264,16 +216,10 @@ fn main() {
             }
             let path =
                 path.unwrap_or_else(|| usage("timeline <trace.etl> [--buckets N] [--csv|--json]"));
-            let tl = if let Some(shards) = shards {
-                let runner = ThreadPoolRunner::new(shards);
-                let trace = read_sharded(&path);
-                etwtrace::timeline::timeline_sharded(&trace, buckets, &runner, shards)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
-            } else {
-                let file = File::open(&path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-                etwtrace::timeline::read_timeline(std::io::BufReader::new(file), buckets)
-                    .unwrap_or_else(|e| usage(&format!("{path}: {e}")))
-            };
+            let t = Blocked::open(&path);
+            let tl = t.ok(etwtrace::timeline::timeline_sharded(
+                &t.trace, buckets, &t.pool, t.shards,
+            ));
             match format {
                 "csv" => print!("{}", tl.to_csv()),
                 "json" => println!("{}", tl.to_json()),
@@ -374,62 +320,62 @@ fn recode(
     );
 }
 
-/// Strips a global `--analyzer-shards N` flag from anywhere on the command
-/// line. `Some(n)` routes supporting subcommands through the sharded
-/// streaming path; `0` resolves to one shard per hardware thread.
-fn take_shards(args: &mut Vec<String>) -> Option<usize> {
-    let i = args.iter().position(|a| a == "--analyzer-shards")?;
-    let n = args
-        .get(i + 1)
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| usage("--analyzer-shards needs a non-negative integer"));
-    args.drain(i..i + 2);
-    Some(if n == 0 {
-        std::thread::available_parallelism()
+/// A trace file opened for the analysis subcommands: its revision-2 block
+/// stream plus a pool with one worker per hardware thread to decode it.
+struct Blocked {
+    path: String,
+    trace: ShardedTrace,
+    pool: ThreadPoolRunner,
+    shards: usize,
+}
+
+impl Blocked {
+    /// Loads a trace file for analysis. A revision-2 SETL v3 file is
+    /// indexed as is, so a corrupt one exits 2 here. Flat v1/v2 files and revision-1 v3
+    /// streams have no block index: they are decoded and re-encoded as
+    /// revision 2.
+    fn open(path: &str) -> Blocked {
+        let bytes = std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
+        let blocked = bytes.starts_with(setl3::MAGIC)
+            && bytes.get(setl3::MAGIC.len()) == Some(&setl3::VERSION);
+        let bytes = if blocked {
+            bytes
+        } else {
+            let trace =
+                etl::read_etl(&bytes[..]).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
+            setl3::encode(&trace)
+        };
+        let trace =
+            ShardedTrace::from_bytes(bytes).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
+        let shards = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        n
-    })
-}
-
-/// Opens a blocked SETL v3 file for sharded analysis. Flat v1/v2 traces
-/// and revision-1 streams exit 2 here with a message naming the fix
-/// (`tracetool pack`).
-fn read_sharded(path: &str) -> ShardedTrace {
-    let bytes = std::fs::read(path).unwrap_or_else(|e| usage(&format!("{path}: {e}")));
-    ShardedTrace::from_bytes(bytes).unwrap_or_else(|e| usage(&format!("{path}: {e}")))
-}
-
-/// Resolves a process-prefix filter through the parallel sweep.
-fn sharded_filter(
-    trace: &ShardedTrace,
-    runner: &ThreadPoolRunner,
-    shards: usize,
-    prefix: &str,
-) -> PidSet {
-    let filter = trace
-        .pids_by_name(runner, shards, prefix)
-        .unwrap_or_else(|e| usage(&format!("{e}")));
-    if filter.is_empty() {
-        usage(&format!("no process matches `{prefix}`"));
+            .unwrap_or(1);
+        Blocked {
+            path: path.to_string(),
+            trace,
+            pool: ThreadPoolRunner::new(shards),
+            shards,
+        }
     }
-    filter
-}
 
-/// Sharded twin of [`load_filtered`].
-fn load_sharded_filtered(
-    args: &[String],
-    cmd: &str,
-    shards: usize,
-) -> (ShardedTrace, PidSet, ThreadPoolRunner) {
-    let [_, path, prefix] = args else {
-        usage(&format!("{cmd} <trace.etl> <process-prefix>"));
-    };
-    let runner = ThreadPoolRunner::new(shards);
-    let trace = read_sharded(path);
-    let filter = sharded_filter(&trace, &runner, shards, prefix);
-    (trace, filter, runner)
+    /// Parses `<cmd> <trace.etl> <process-prefix>`, opens the trace and
+    /// resolves the filter through the parallel sweep.
+    fn open_filtered(args: &[String], cmd: &str) -> (Blocked, PidSet) {
+        let [_, path, prefix] = args else {
+            usage(&format!("{cmd} <trace.etl> <process-prefix>"));
+        };
+        let t = Blocked::open(path);
+        let filter = t.ok(t.trace.pids_by_name(&t.pool, t.shards, prefix));
+        if filter.is_empty() {
+            usage(&format!("no process matches `{prefix}`"));
+        }
+        (t, filter)
+    }
+
+    /// Unwraps an analyzer result; a block decode or checksum error exits 2.
+    fn ok<T>(&self, r: io::Result<T>) -> T {
+        r.unwrap_or_else(|e| usage(&format!("{}: {e}", self.path)))
+    }
 }
 
 /// Writes a deterministic synthetic workload of exactly `n` events through
@@ -524,19 +470,6 @@ fn synth(n: u64, out: &str) {
     eprintln!("{count} events ({bytes} bytes) → {out}");
 }
 
-/// Parses `<cmd> <trace.etl> <process-prefix>` and resolves the filter.
-fn load_filtered(args: &[String], cmd: &str) -> (EtlTrace, PidSet) {
-    let [_, path, prefix] = args else {
-        usage(&format!("{cmd} <trace.etl> <process-prefix>"));
-    };
-    let trace = read(path);
-    let filter = trace.pids_by_name(prefix);
-    if filter.is_empty() {
-        usage(&format!("no process matches `{prefix}`"));
-    }
-    (trace, filter)
-}
-
 fn load(args: &[String], arity: usize) -> EtlTrace {
     if args.len() != arity {
         usage("expected a trace file");
@@ -606,10 +539,6 @@ fn usage_text() -> String {
         "       tracetool unpack <trace.etl> <out.etl>       re-encode as flat SETL v2",
         "       tracetool synth <events> <out.etl>           synthetic v3 stress trace",
         "       tracetool help                               this listing",
-        "",
-        "global: --analyzer-shards N  decode trace blocks on N workers (0 = all",
-        "        hardware threads) for verify/tlp/latency/bottlenecks/critical-path/",
-        "        timeline; needs a blocked v3 file (see `pack`), output is identical",
         "",
         "exit codes: 0 clean, 1 findings (verify diagnostics, diff regression),",
         "            2 usage error or corrupt input",

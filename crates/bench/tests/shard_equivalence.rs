@@ -4,7 +4,7 @@
 //! runner or a real thread pool — every sharded analyzer must produce
 //! exactly the report its materialized twin computes from the same trace.
 //! Not "close": equal, field for field, so the rendered bytes match at any
-//! `--analyzer-shards` setting.
+//! shard count.
 
 use etwtrace::{analysis, setl3, EtlTrace, SerialShards, ShardRunner, ShardedTrace};
 use machine::{Action, Machine, MachineConfig, ThreadCtx, ThreadProgram, Work};

@@ -1,7 +1,8 @@
 //! End-to-end CLI tests for `tracetool`: record → verify round trip, the
-//! usage listing, the timeline golden output, the diff exit-code contract
-//! (0 clean / 1 regression / 2 corrupt-or-usage), and exit codes for
-//! help / unknown subcommands.
+//! usage listing, the timeline golden output, identical analysis output on
+//! flat and packed input, the diff exit-code contract (0 clean / 1
+//! regression / 2 corrupt-or-usage), and exit codes for help / unknown
+//! subcommands.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -56,7 +57,6 @@ fn help_lists_every_subcommand_on_stdout() {
         "pack",
         "unpack",
         "synth",
-        "--analyzer-shards",
     ] {
         assert!(stdout.contains(sub), "usage is missing `{sub}`:\n{stdout}");
     }
@@ -260,16 +260,24 @@ fn diff_exit_codes_pin_the_regression_contract() {
 }
 
 #[test]
-fn analyzer_shards_match_serial_output_byte_for_byte() {
-    let etl = tmp("shards.etl");
-    let packed = tmp("shards-packed.etl");
+fn analysis_subcommands_agree_on_flat_and_packed_input() {
+    let etl = tmp("forms.etl");
+    let packed = tmp("forms-packed.etl");
+    let corrupt = tmp("forms-corrupt.etl");
     let rec = tracetool(&["record", "vlc", "2", etl.to_str().unwrap()]);
     assert!(rec.status.success(), "record failed: {rec:?}");
     let pack = tracetool(&["pack", etl.to_str().unwrap(), packed.to_str().unwrap()]);
     assert!(pack.status.success(), "pack failed: {pack:?}");
+    // One flipped record byte in the revision-2 file: its block hash must
+    // catch it, never a fall-through to the legacy decoder.
+    let mut bytes = std::fs::read(&packed).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    // lint:allow(fs-write): deliberately planting a corrupt temp trace.
+    std::fs::write(&corrupt, &bytes).unwrap();
 
-    // Every analyzer subcommand must render the same bytes whether it
-    // materializes serially or shards the v3 blocks over a pool.
+    // The flat v2 file is re-encoded on load; the packed file is read in
+    // place. Every analysis subcommand must render the same bytes on both.
     for (sub, prefix) in [
         ("verify", None),
         ("tlp", Some("vlc")),
@@ -278,43 +286,21 @@ fn analyzer_shards_match_serial_output_byte_for_byte() {
         ("critical-path", Some("vlc")),
         ("timeline", None),
     ] {
-        let mut argv = vec![sub, packed.to_str().unwrap()];
-        argv.extend(prefix);
-        let serial = tracetool(&argv);
-        assert!(serial.status.success(), "{sub} serial failed: {serial:?}");
-        for shards in ["1", "4"] {
-            let mut sharded_argv = vec!["--analyzer-shards", shards];
-            sharded_argv.extend(argv.iter().copied());
-            let sharded = tracetool(&sharded_argv);
-            assert!(
-                sharded.status.success(),
-                "{sub} at {shards} shards failed: {sharded:?}"
-            );
-            assert_eq!(
-                serial.stdout, sharded.stdout,
-                "`{sub}` output diverged at {shards} shards"
-            );
-        }
+        let run = |path: &PathBuf| {
+            let mut argv = vec![sub, path.to_str().unwrap()];
+            argv.extend(prefix);
+            tracetool(&argv)
+        };
+        let flat = run(&etl);
+        assert_eq!(flat.status.code(), Some(0), "{sub} on v2: {flat:?}");
+        let v3 = run(&packed);
+        assert_eq!(v3.status.code(), Some(0), "{sub} on v3: {v3:?}");
+        assert_eq!(flat.stdout, v3.stdout, "`{sub}` differs between v2 and v3");
+        let bad = run(&corrupt);
+        assert_eq!(bad.status.code(), Some(2), "{sub} on corrupt v3: {bad:?}");
     }
 
-    // A flat v1/v2 trace has no block index: the sharded path must refuse
-    // with a usage error (exit 2) and point at `pack` — never panic.
-    let flat = tracetool(&["--analyzer-shards", "4", "verify", etl.to_str().unwrap()]);
-    assert_eq!(flat.status.code(), Some(2), "{flat:?}");
-    let stderr = String::from_utf8_lossy(&flat.stderr);
-    assert!(stderr.contains("no block index"), "{stderr}");
-    assert!(stderr.contains("tracetool pack"), "{stderr}");
-
-    // Bad flag values are usage errors too.
-    let bad = tracetool(&[
-        "--analyzer-shards",
-        "zebra",
-        "verify",
-        packed.to_str().unwrap(),
-    ]);
-    assert_eq!(bad.status.code(), Some(2), "{bad:?}");
-
-    for p in [&etl, &packed] {
+    for p in [&etl, &packed, &corrupt] {
         let _ = std::fs::remove_file(p);
     }
 }
@@ -344,13 +330,9 @@ fn synth_writes_a_verify_clean_v3_stream_of_the_exact_size() {
     );
     assert!(info_out.contains(&written.to_string()), "{info_out}");
 
-    // The generated trace is clean under full verification, on both the
-    // materialized and the sharded path.
+    // The generated trace is clean under full verification.
     let ver = tracetool(&["verify", out.to_str().unwrap()]);
     assert_eq!(ver.status.code(), Some(0), "{ver:?}");
-    let sharded = tracetool(&["--analyzer-shards", "4", "verify", out.to_str().unwrap()]);
-    assert_eq!(sharded.status.code(), Some(0), "{sharded:?}");
-    assert_eq!(ver.stdout, sharded.stdout);
 
     // Zero or garbage counts are usage errors.
     let zero = tracetool(&["synth", "0", out.to_str().unwrap()]);

@@ -70,22 +70,14 @@ pub fn run_blame_for(ctx: &RunContext, apps: &[AppId], budget: Budget) -> Vec<Ap
             let iters = exp.budget.iterations;
             for _ in 0..iters {
                 let run = runs.next().expect("one run per requested iteration");
-                // `--analyzer-shards N` reroutes both analyses through the
-                // sharded streaming pipeline — same bytes, shard spans in
-                // the doctor report.
-                let shards = ctx.analyzer_shards();
-                let (blamed, cp) = if shards > 1 {
-                    run.sharded_bottleneck_analysis(&ctx.shard_runner(), shards)
-                } else {
-                    (run.blame(), run.critical_path())
-                };
+                let cp = run.critical_path();
                 tlp_sum += cp.measured_tlp;
                 bound = bound.max(cp.tlp_upper_bound);
                 if let Some(f) = cp.critical_fraction() {
                     frac_sum += f;
                     frac_count += 1;
                 }
-                for stat in blamed.ranking {
+                for stat in run.blame().ranking {
                     *lost.entry(stat.blocker).or_default() += stat.lost_core_ns;
                 }
             }

@@ -238,8 +238,6 @@ impl etwtrace::shard::ShardRunner for ThreadPoolRunner {
 /// trace memory matters.
 pub struct RunContext {
     runner: Box<dyn Runner>,
-    /// Shard count for streaming trace analysis (0 = pool width).
-    analyzer_shards: AtomicUsize,
     cache: Mutex<HashMap<RunKey, Arc<SingleRun>>>,
     store: Option<SimStore>,
     hits: AtomicU64,
@@ -275,7 +273,6 @@ impl RunContext {
     fn with_runner(runner: Box<dyn Runner>) -> RunContext {
         RunContext {
             runner,
-            analyzer_shards: AtomicUsize::new(0),
             cache: Mutex::new(HashMap::new()),
             store: None,
             hits: AtomicU64::new(0),
@@ -326,24 +323,15 @@ impl RunContext {
         self.runner.jobs()
     }
 
-    /// Sets the shard count for streaming trace analysis (`0` = pool
-    /// width). Sharding changes wall-clock only: every sharded analyzer is
-    /// bit-identical to its serial twin at any shard count.
-    pub fn set_analyzer_shards(&self, shards: usize) {
-        self.analyzer_shards.store(shards, Ordering::Relaxed);
-    }
-
-    /// Effective shard count for streaming trace analysis: the configured
-    /// knob, or the pool width when unset.
+    /// Shard count for streaming trace analysis: always the pool width.
+    /// In-memory runs use the materialized analyzers, so nothing in this
+    /// crate reads it; it stays public for the `e2ebench/layers` helper.
     pub fn analyzer_shards(&self) -> usize {
-        match self.analyzer_shards.load(Ordering::Relaxed) {
-            0 => self.jobs(),
-            n => n,
-        }
+        self.jobs()
     }
 
-    /// The worker set sharded analyzers run on — the same pool width the
-    /// run batches use.
+    /// The worker set sharded analyzers run on, at the pool width. Stays
+    /// public for the `e2ebench/layers` helper.
     pub fn shard_runner(&self) -> ThreadPoolRunner {
         ThreadPoolRunner::new(self.jobs())
     }
@@ -451,35 +439,8 @@ impl RunContext {
             return;
         }
         self.verify_findings.fetch_add(findings, Ordering::Relaxed);
-        // `--analyzer-shards N` reroutes the re-verification through the
-        // sharded streaming pipeline; the rendered diagnostics are
-        // bit-identical either way.
-        let shards = self.analyzer_shards();
-        let (verified, causal) = if shards > 1 {
-            // lint:allow(analyzer-panic): a just-sealed trace always
-            // re-encodes into an indexable v3 stream.
-            let sharded = etwtrace::ShardedTrace::from_bytes(etwtrace::setl3::encode(&run.trace))
-                .expect("fresh v3 encode is indexable");
-            let runner = self.shard_runner();
-            (
-                // lint:allow(analyzer-panic): in-memory shards cannot fail I/O.
-                etwtrace::verify::verify_sharded(&sharded, &runner, shards)
-                    .expect("in-memory sharded fold cannot fail I/O"),
-                // lint:allow(analyzer-panic): in-memory shards cannot fail I/O.
-                etwtrace::hb::analyze_sharded(
-                    &sharded,
-                    &etwtrace::HbOptions::default(),
-                    &runner,
-                    shards,
-                )
-                .expect("in-memory sharded fold cannot fail I/O"),
-            )
-        } else {
-            (
-                etwtrace::verify::verify_trace(&run.trace),
-                etwtrace::hb::analyze(&run.trace, &etwtrace::HbOptions::default()),
-            )
-        };
+        let verified = etwtrace::verify::verify_trace(&run.trace);
+        let causal = etwtrace::hb::analyze(&run.trace, &etwtrace::HbOptions::default());
         let mut report = format!("{label}:\n{}", verified.render());
         if !causal.is_clean() {
             report.push_str(&causal.render());
