@@ -112,7 +112,9 @@ fn per_sec(amount: u64, ns: u64) -> String {
     }
 }
 
-fn stat_line(name: &str, s: &SpanStat) -> String {
+/// One aggregate row; `unit` names what the span's event count counts
+/// (`ev` for trace events, `runs` for the memo tiers).
+fn stat_line(name: &str, s: &SpanStat, unit: &str) -> String {
     let mut line = format!(
         "    {name:<12} {:>6}x  total {:>10}  mean {:>10}  max {:>10}",
         s.count,
@@ -124,7 +126,7 @@ fn stat_line(name: &str, s: &SpanStat) -> String {
         let _ = write!(line, "  {:>10}", per_sec(s.bytes, s.total_ns));
     }
     if s.events > 0 {
-        let _ = write!(line, "  {:>10} ev", per_sec(s.events, s.total_ns));
+        let _ = write!(line, "  {:>10} {unit}", per_sec(s.events, s.total_ns));
     }
     line
 }
@@ -185,25 +187,32 @@ pub fn doctor_report_with_timelines(
     let mut out = String::new();
     out.push_str("parastat doctor\n===============\n");
 
-    // Pool occupancy: worker lifetime vs time inside work spans. The
-    // difference is claim/steal overhead plus end-of-batch idling.
+    // Pool occupancy: time inside work spans over the capacity of every
+    // pass, `jobs` workers for each calling-thread `pool/batch` span. The
+    // rest is claim overhead plus workers idling at a batch's tail.
     out.push_str("\npool\n");
     let pool: Vec<_> = record.stats_for("pool");
-    let worker = pool.iter().find(|(n, _)| *n == "worker").map(|(_, s)| *s);
+    let batch = pool.iter().find(|(n, _)| *n == "batch").map(|(_, s)| *s);
     let work = pool.iter().find(|(n, _)| *n == "work").map(|(_, s)| *s);
-    let _ = writeln!(out, "  configured jobs: {}", ctx.jobs());
-    match (worker, work) {
-        (Some(worker), Some(work)) if worker.total_ns > 0 => {
-            let occupancy = 100.0 * work.total_ns as f64 / worker.total_ns as f64;
+    let jobs = ctx.jobs();
+    let _ = writeln!(out, "  configured jobs: {jobs}");
+    match (batch, work) {
+        (Some(batch), Some(work)) if batch.total_ns > 0 => {
+            let capacity = jobs as f64 * batch.total_ns as f64;
+            let occupancy = 100.0 * work.total_ns as f64 / capacity;
             let _ = writeln!(
                 out,
-                "  workers: {} spans, {} wall; work: {} spans, {} wall",
-                worker.count,
-                human_ns(worker.total_ns),
+                "  batches: {} spans, {} wall; work: {} spans, {} wall",
+                batch.count,
+                human_ns(batch.total_ns),
                 work.count,
                 human_ns(work.total_ns),
             );
-            let _ = writeln!(out, "  occupancy: {occupancy:.1}% (rest is claim/idle)");
+            let _ = writeln!(
+                out,
+                "  occupancy: {occupancy:.1}% of {jobs} x {} (rest is claim/idle)",
+                human_ns(batch.total_ns)
+            );
         }
         _ => out.push_str("  no pool activity recorded\n"),
     }
@@ -226,7 +235,7 @@ pub fn doctor_report_with_timelines(
         rate(dhits, dmisses)
     );
     for (name, s) in record.stats_for("tier") {
-        let _ = writeln!(out, "{}", stat_line(name, &s));
+        let _ = writeln!(out, "{}", stat_line(name, &s, "runs"));
     }
 
     // Store I/O and the SETL codecs, with byte/event throughput.
@@ -235,7 +244,7 @@ pub fn doctor_report_with_timelines(
     for cat in ["store", "codec"] {
         for (name, s) in record.stats_for(cat) {
             any = true;
-            let _ = writeln!(out, "{}", stat_line(name, &s));
+            let _ = writeln!(out, "{}", stat_line(name, &s, "ev"));
         }
     }
     if !any {
@@ -263,7 +272,7 @@ pub fn doctor_report_with_timelines(
         out.push_str("    no analyzer activity recorded\n");
     }
     for (name, s) in analyzers {
-        let _ = writeln!(out, "{}", stat_line(name, &s));
+        let _ = writeln!(out, "{}", stat_line(name, &s, "ev"));
     }
 
     // Time-resolved view: where the workloads lost their parallelism.
@@ -341,6 +350,66 @@ mod tests {
         assert!(report.contains("vlc: 8 buckets"), "{report}");
         // The plain report stays timeline-free.
         assert!(!doctor_report_now(&ctx).contains("\ntimelines\n"));
+    }
+
+    /// A flight record holding only the given `(cat, name)` aggregates.
+    fn record_with(stats: &[((&'static str, &'static str), SpanStat)]) -> FlightRecord {
+        FlightRecord {
+            stats: stats.iter().copied().collect(),
+            ..FlightRecord::default()
+        }
+    }
+
+    #[test]
+    fn occupancy_counts_the_idle_tail_of_every_batch() {
+        // Cold table2 at 2 jobs: 1.34 s of work inside one 0.818 s batch.
+        let record = record_with(&[
+            (
+                ("pool", "batch"),
+                SpanStat {
+                    count: 1,
+                    total_ns: 818_000_000,
+                    max_ns: 818_000_000,
+                    ..SpanStat::default()
+                },
+            ),
+            (
+                ("pool", "work"),
+                SpanStat {
+                    count: 30,
+                    total_ns: 1_340_000_000,
+                    max_ns: 90_000_000,
+                    ..SpanStat::default()
+                },
+            ),
+        ]);
+        let report = doctor_report(&RunContext::pooled(2), &record);
+        assert!(
+            report.contains("occupancy: 81.9% of 2 x 818.00 ms"),
+            "{report}"
+        );
+        assert!(!report.contains("100.0%"), "{report}");
+    }
+
+    #[test]
+    fn tier_rows_count_runs_not_events() {
+        let record = record_with(&[(
+            ("tier", "simulate"),
+            SpanStat {
+                count: 1,
+                total_ns: 818_000_000,
+                max_ns: 818_000_000,
+                events: 30,
+                ..SpanStat::default()
+            },
+        )]);
+        let report = doctor_report(&RunContext::serial(), &record);
+        let row = report
+            .lines()
+            .find(|l| l.trim_start().starts_with("simulate"))
+            .unwrap_or_else(|| panic!("no simulate row: {report}"));
+        assert!(row.ends_with("37/s runs"), "{row}");
+        assert!(!row.contains(" ev"), "{row}");
     }
 
     #[test]

@@ -9,24 +9,29 @@
 //!
 //! * [`RunRequest`] — one iteration of one [`Experiment`] at one seed, in
 //!   canonical form with a stable [cache key](RunRequest::cache_key).
-//! * [`Runner`] — executes a batch of requests: [`SerialRunner`] in
-//!   submission order on the calling thread, [`ThreadPoolRunner`] on a
-//!   [`std::thread::scope`] pool. Each worker constructs *and consumes* its
-//!   own single-threaded [`machine::Machine`], so no simulator state ever
-//!   crosses a thread boundary; only the plain-data [`SingleRun`] result
-//!   moves back.
+//! * [`Runner`] — one indexed parallel-for ([`Runner::for_each_index`]):
+//!   [`SerialRunner`] in index order on the calling thread,
+//!   [`ThreadPoolRunner`] on a [`std::thread::scope`] pool. A simulation
+//!   job constructs *and consumes* its own single-threaded
+//!   [`machine::Machine`], so no simulator state ever crosses a thread
+//!   boundary; only the plain-data [`SingleRun`] result moves back.
 //! * [`RunContext`] — the memoizing front end every suite/figure builder
 //!   submits through. Duplicate requests (within a batch or across
 //!   batches) simulate once and share one `Arc<SingleRun>`; results are
 //!   reassembled in submission order, so every downstream report, CSV and
-//!   Prometheus rendering is byte-identical whatever the job count.
+//!   Prometheus rendering is byte-identical whatever the job count. With
+//!   a [`SimStore`] attached, the disk tier runs on the pool too: memory
+//!   misses load (and re-verify) in one pool pass, and each fresh run is
+//!   written back by the worker that simulated it.
 //!
 //! Determinism argument: the DES guarantees identical (config, seed) ⇒
 //! identical trace and metrics. Workers only race for *which* request to
 //! run next, never on simulator state, and the batch result vector is
 //! indexed by submission position, not completion order. Aggregation
 //! (means, σ, histogram merges) therefore consumes runs in exactly the
-//! order the serial path produced them.
+//! order the serial path produced them. Store outcomes follow the same
+//! rule: counters, store notes and verification reports are applied on
+//! the calling thread in submission order after each pass.
 
 use crate::experiment::{Experiment, Measurement, SingleRun};
 use crate::store::{LoadOutcome, SimStore};
@@ -101,43 +106,104 @@ impl RunRequest {
 /// Index-tagged jobs handed to a [`Runner`]: `(submission index, request)`.
 type Job = (usize, RunRequest);
 
-/// Executes batches of [`RunRequest`]s.
+/// Executes batches of work: one indexed parallel-for, plus the
+/// simulate-only batch built on it.
 ///
-/// Implementations must return one result per job, tagged with the job's
-/// submission index; they are free to execute in any order and on any
-/// thread. The [`RunContext`] re-orders results by index, so scheduling
-/// never leaks into rendered output.
+/// Implementations are free to call the body in any order and on any
+/// thread. Every caller collects results by index, so scheduling never
+/// leaks into rendered output.
 pub trait Runner: Send + Sync {
-    /// Executes every job and returns `(index, result)` pairs.
-    fn execute(&self, jobs: Vec<Job>) -> Vec<(usize, SingleRun)>;
+    /// Calls `f(i)` exactly once for every `i in 0..n`, possibly
+    /// concurrently, returning after all calls complete.
+    fn for_each_index(&self, n: usize, f: &(dyn Fn(usize) + Sync));
 
     /// Worker parallelism (1 for serial runners), for reporting.
     fn jobs(&self) -> usize {
         1
     }
+
+    /// Simulates every job and returns `(index, result)` pairs in job
+    /// order.
+    fn execute(&self, jobs: Vec<Job>) -> Vec<(usize, SingleRun)> {
+        map_indexed(self, jobs.len(), |i| (jobs[i].0, jobs[i].1.execute()))
+    }
 }
 
-/// Runs every request in submission order on the calling thread.
+/// Runs `f` over `0..n` on `runner` and returns the results in index
+/// order, whatever order the workers finished in.
+fn map_indexed<R, T, F>(runner: &R, n: usize, f: F) -> Vec<T>
+where
+    R: Runner + ?Sized,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    runner.for_each_index(n, &|i| {
+        let value = f(i);
+        *slots[i].lock().expect("result slot poisoned") = Some(value);
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("every index ran")
+        })
+        .collect()
+}
+
+/// The one pool loop: up to `workers` threads claim indices from an
+/// atomic cursor until `0..n` is exhausted. A single worker runs on the
+/// calling thread, in index order.
+///
+/// The pass records one `pool/batch` span on the calling thread, one
+/// `pool/worker` span per worker lifetime and one `pool/work` span per
+/// call; the doctor reports Σwork / (jobs × Σbatch) as pool occupancy, so
+/// idle workers at a batch's tail count against it.
+fn pool_pass(workers: usize, n: usize, f: &(dyn Fn(usize) + Sync)) {
+    if n == 0 {
+        return;
+    }
+    let _batch = span::span("pool", "batch");
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        let mut worker = span::span("pool", "worker");
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            worker.add_events(1);
+            let _work = span::span("pool", "work");
+            f(i);
+        }
+    };
+    let workers = workers.min(n);
+    if workers <= 1 {
+        worker();
+        return;
+    }
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(worker);
+        }
+    });
+}
+
+/// Runs every index in order on the calling thread.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SerialRunner;
 
 impl Runner for SerialRunner {
-    fn execute(&self, jobs: Vec<Job>) -> Vec<(usize, SingleRun)> {
-        let mut worker = span::span("pool", "worker");
-        worker.add_events(jobs.len() as u64);
-        jobs.into_iter()
-            .map(|(idx, req)| {
-                let _work = span::span("pool", "work");
-                (idx, req.execute())
-            })
-            .collect()
+    fn for_each_index(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
+        pool_pass(1, n, f);
     }
 }
 
-/// Fans requests out over `jobs` scoped worker threads.
+/// Fans indices out over `jobs` scoped worker threads.
 ///
-/// Workers claim jobs through an atomic cursor, build a private
-/// single-threaded [`machine::Machine`] per request, and deposit the
+/// Workers claim indices through an atomic cursor. A simulation job builds
+/// a private single-threaded [`machine::Machine`] and deposits the
 /// plain-data [`SingleRun`] into the job's dedicated result slot. No
 /// simulator state is shared: the `Machine` (and everything `Rc`-shaped a
 /// future machine revision might hold) lives and dies inside one worker.
@@ -154,40 +220,8 @@ impl ThreadPoolRunner {
 }
 
 impl Runner for ThreadPoolRunner {
-    fn execute(&self, jobs: Vec<Job>) -> Vec<(usize, SingleRun)> {
-        type Slot = Mutex<Option<(usize, SingleRun)>>;
-        let slots: Vec<Slot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let jobs = &jobs;
-        std::thread::scope(|s| {
-            for _ in 0..self.jobs.min(jobs.len()) {
-                s.spawn(|| {
-                    // One span per worker lifetime, one per claimed job:
-                    // worker wall time minus the sum of its work spans is
-                    // the steal/idle overhead the doctor reports as pool
-                    // occupancy.
-                    let mut worker = span::span("pool", "worker");
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((idx, req)) = jobs.get(i) else { break };
-                        worker.add_events(1);
-                        let run = {
-                            let _work = span::span("pool", "work");
-                            req.execute()
-                        };
-                        *slots[i].lock().expect("result slot poisoned") = Some((*idx, run));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker filled every claimed slot")
-            })
-            .collect()
+    fn for_each_index(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
+        pool_pass(self.jobs, n, f);
     }
 
     fn jobs(&self) -> usize {
@@ -196,30 +230,12 @@ impl Runner for ThreadPoolRunner {
 }
 
 /// The pool doubles as the worker set for sharded trace analysis: shard
-/// bodies are closures over `Sync` state (no `SingleRun` plumbing), so the
-/// same scoped-thread pattern applies directly. The analyzer merge step
-/// orders results by shard index, so — exactly as with [`Runner`] — worker
+/// bodies are closures over `Sync` state, so they run on the same indexed
+/// loop. The analyzer merge step orders results by shard index, so worker
 /// scheduling can never leak into rendered output.
 impl etwtrace::shard::ShardRunner for ThreadPoolRunner {
     fn run_shards(&self, shards: usize, f: &(dyn Fn(usize) + Sync)) {
-        if shards <= 1 {
-            for i in 0..shards {
-                f(i);
-            }
-            return;
-        }
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..self.jobs.min(shards) {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= shards {
-                        break;
-                    }
-                    f(i);
-                });
-            }
-        });
+        self.for_each_index(shards, f);
     }
 
     fn width(&self) -> usize {
@@ -475,16 +491,20 @@ impl RunContext {
             .fetch_add((requests.len() - fresh.len()) as u64, Ordering::Relaxed);
         span::counter_add("memo_hits", (requests.len() - fresh.len()) as u64);
         // Second memo tier: replay memory misses from the persistent store.
-        // Every loaded run already passed the store's integrity pipeline
-        // (checksum, epoch, key, re-verification), so it joins the memory
-        // cache exactly as a fresh simulation would.
+        // The loads (read, checksum, decode, re-verification) run as one
+        // pool pass; their outcomes are applied here in submission order.
+        // Every loaded run already passed the store's integrity pipeline, so
+        // it joins the memory cache exactly as a fresh simulation would.
         if let Some(store) = &self.store {
             let mut tier = span::span("tier", "disk");
             tier.add_events(fresh.len() as u64);
+            let outcomes = map_indexed(&*self.runner, fresh.len(), |i| {
+                store.load(&keys[fresh[i].0])
+            });
             let mut unstored: Vec<Job> = Vec::with_capacity(fresh.len());
             let mut loaded: Vec<(usize, SingleRun)> = Vec::new();
-            for (idx, req) in fresh {
-                match store.load(&keys[idx]) {
+            for ((idx, req), outcome) in fresh.into_iter().zip(outcomes) {
+                match outcome {
                     LoadOutcome::Hit(run) => {
                         self.disk_hits.fetch_add(1, Ordering::Relaxed);
                         span::counter_add("disk_hits", 1);
@@ -526,33 +546,34 @@ impl RunContext {
         self.misses.fetch_add(fresh.len() as u64, Ordering::Relaxed);
         span::counter_add("memo_misses", fresh.len() as u64);
         if !fresh.is_empty() {
-            let labels: Vec<(usize, String)> = fresh
-                .iter()
-                .map(|(i, req)| (*i, format!("{:?} seed={}", req.experiment.app, req.seed)))
-                .collect();
+            // Each worker writes its run back inside the same job.
+            // Best-effort: a full disk or read-only store costs persistence,
+            // never correctness.
             let executed = {
                 let mut tier = span::span("tier", "simulate");
                 tier.add_events(fresh.len() as u64);
-                self.runner.execute(fresh)
+                map_indexed(&*self.runner, fresh.len(), |i| {
+                    let (idx, req) = &fresh[i];
+                    let run = req.execute();
+                    let saved = match &self.store {
+                        Some(store) => store.save(&keys[*idx], &run),
+                        None => Ok(()),
+                    };
+                    (run, saved)
+                })
             };
-            for ((idx, run), (lidx, label)) in executed.iter().zip(&labels) {
-                debug_assert_eq!(idx, lidx);
-                self.tally_verification(run, label);
-            }
-            // Best-effort write-back: a full disk or read-only store costs
-            // persistence, never correctness.
-            if let Some(store) = &self.store {
-                for (idx, run) in &executed {
-                    if let Err(e) = store.save(&keys[*idx], run) {
-                        self.push_store_note(format!(
-                            "write-back failed for {:?} seed={}: {e}",
-                            requests[*idx].experiment.app, requests[*idx].seed
-                        ));
-                    }
+            for ((_, req), (run, saved)) in fresh.iter().zip(&executed) {
+                let label = format!("{:?} seed={}", req.experiment.app, req.seed);
+                self.tally_verification(run, &label);
+                if let Err(e) = saved {
+                    self.push_store_note(format!(
+                        "write-back failed for {:?} seed={}: {e}",
+                        req.experiment.app, req.seed
+                    ));
                 }
             }
             let mut cache = self.cache.lock().expect("run cache poisoned");
-            for (idx, run) in executed {
+            for ((idx, _), (run, _)) in fresh.into_iter().zip(executed) {
                 cache.insert(keys[idx].clone(), Arc::new(run));
             }
         }

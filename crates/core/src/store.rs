@@ -38,9 +38,10 @@
 //! All writes funnel through [`atomic_write`]: payload to a temp sibling,
 //! then `rename(2)` into place. Readers therefore never observe a
 //! half-written entry, concurrent writers of the same key are idempotent
-//! (identical content, last rename wins), and a crash leaves at most a
-//! stray temp file. The workspace determinism lint enforces this funnel:
-//! direct `std::fs` writes outside sanctioned modules are rejected.
+//! (each renames its own uniquely named temp file; identical content, last
+//! rename wins), and a crash leaves at most a stray temp file. The
+//! workspace determinism lint enforces this funnel: direct `std::fs`
+//! writes outside sanctioned modules are rejected.
 
 use crate::experiment::{RunMetrics, SingleRun};
 use crate::runner::RunKey;
@@ -48,6 +49,7 @@ use cryptomine::Sha256;
 use etwtrace::{hb, setl3, verify, PidSet};
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Environment variable overriding the store location (the default is
 /// `target/simstore/` under the current directory).
@@ -324,7 +326,9 @@ pub fn env_root() -> Option<PathBuf> {
 
 /// The sanctioned write path for store entries: write `bytes` to a temp
 /// sibling, then atomically rename over `path`. Readers never observe a
-/// partial entry; a crash strands at most a temp file.
+/// partial entry; a crash strands at most a temp file. The temp name is
+/// unique per call (process id plus a process-wide counter), so threads
+/// saving the same key never share, and tear, one temp file.
 ///
 /// # Errors
 /// Propagates I/O errors from directory creation, the write or the rename.
@@ -333,8 +337,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         .parent()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "entry path has no parent"))?;
     std::fs::create_dir_all(dir)?;
+    static WRITER: AtomicU64 = AtomicU64::new(0);
+    let writer = WRITER.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp{}", std::process::id()));
+    tmp.push(format!(".tmp{}.{writer}", std::process::id()));
     let tmp = PathBuf::from(tmp);
     // lint:allow(fs-write): this IS the atomic rename helper every other
     // store write is required to go through.
@@ -525,6 +531,30 @@ mod tests {
             panic!("mis-filed entry must be quarantined");
         };
         assert!(reason.contains("key mismatch"), "{reason}");
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_key_leave_one_whole_entry() {
+        let store = tmp_store("race");
+        let (key, run) = tiny_run();
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| store.save(&key, &run).expect("concurrent save"));
+            }
+        });
+        assert!(matches!(store.load(&key), LoadOutcome::Hit(_)));
+        let shard = store.entry_path(&key).parent().unwrap().to_path_buf();
+        let names: Vec<String> = std::fs::read_dir(&shard)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|n| !n.contains(".tmp")),
+            "stray temp files: {names:?}"
+        );
+        assert_eq!(entry_count(&store), 1);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

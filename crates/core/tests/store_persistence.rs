@@ -50,26 +50,42 @@ fn store_ctx(root: &Path, jobs: usize) -> RunContext {
     ctx
 }
 
-fn first_entry(root: &Path) -> PathBuf {
-    fn walk(dir: &Path) -> Option<PathBuf> {
-        let mut entries: Vec<_> = std::fs::read_dir(dir).ok()?.flatten().collect();
-        entries.sort_by_key(|e| e.path());
-        for e in entries {
+/// Every live entry under `root` (quarantine excluded), in path order.
+fn entries(root: &Path) -> Vec<PathBuf> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(read) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for e in read.flatten() {
             let p = e.path();
             if p.is_dir() {
-                if p.file_name().is_some_and(|n| n == "quarantine") {
-                    continue;
-                }
-                if let Some(found) = walk(&p) {
-                    return Some(found);
+                if !p.ends_with("quarantine") {
+                    walk(&p, out);
                 }
             } else if p.extension().is_some_and(|x| x == "run") {
-                return Some(p);
+                out.push(p);
             }
         }
-        None
     }
-    walk(root).expect("store has at least one entry")
+    let mut out = Vec::new();
+    walk(root, &mut out);
+    out.sort();
+    out
+}
+
+fn first_entry(root: &Path) -> PathBuf {
+    entries(root)
+        .into_iter()
+        .next()
+        .expect("store has at least one entry")
+}
+
+/// Flips one byte in the middle of a persisted entry.
+fn corrupt(entry: &Path) {
+    let mut bytes = std::fs::read(entry).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x80;
+    parastat::store::atomic_write(entry, &bytes).unwrap();
 }
 
 #[test]
@@ -111,11 +127,7 @@ fn corrupted_entry_requarantines_and_resimulates_identically() {
     let cold_render = render(&store_ctx(&root, 1));
 
     // Flip one byte in one persisted entry.
-    let victim = first_entry(&root);
-    let mut bytes = std::fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x80;
-    parastat::store::atomic_write(&victim, &bytes).unwrap();
+    corrupt(&first_entry(&root));
 
     let repair = store_ctx(&root, 2);
     let repaired_render = render(&repair);
@@ -152,5 +164,58 @@ fn load_outcome_reflects_store_state() {
     assert!(matches!(store.load(&key), LoadOutcome::Miss));
     store.save(&key, &req.execute()).unwrap();
     assert!(matches!(store.load(&key), LoadOutcome::Hit(_)));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Everything a warm pass reports that must not depend on the job count.
+fn warm_pass(root: &Path, jobs: usize) -> String {
+    let ctx = store_ctx(root, jobs);
+    let render = render(&ctx);
+    format!(
+        "{render}store={:?} cache={:?} verify={:?} reports={:?}",
+        ctx.store_stats(),
+        ctx.cache_stats(),
+        ctx.verify_stats(),
+        ctx.verify_reports()
+    )
+}
+
+#[test]
+fn warm_pass_is_identical_at_every_job_count() {
+    let root = tmp_root("warm-jobs");
+    render(&store_ctx(&root, 1));
+    let serial = warm_pass(&root, 1);
+    assert!(serial.contains("store=(4, 0, 0) cache=(0, 0)"), "{serial}");
+    for jobs in [2, 4] {
+        assert_eq!(warm_pass(&root, jobs), serial, "warm pass at {jobs} jobs");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn quarantine_notes_keep_submission_order_on_the_pool() {
+    let root = tmp_root("notes-order");
+    render(&store_ctx(&root, 1));
+    let all = entries(&root);
+    let victims = [all[0].clone(), all[all.len() - 1].clone()];
+    let notes_at = |jobs: usize| {
+        for victim in &victims {
+            corrupt(victim);
+        }
+        let ctx = store_ctx(&root, jobs);
+        render(&ctx);
+        assert_eq!(ctx.store_stats(), (2, 2, 2), "at {jobs} jobs");
+        ctx.store_notes()
+    };
+    // The serial pass re-simulates both victims back into place, so the
+    // pooled pass meets the same two corrupt entries.
+    let serial = notes_at(1);
+    assert_eq!(serial.len(), 2, "{serial:?}");
+    assert_ne!(serial[0], serial[1], "the victims are different runs");
+    assert!(
+        serial.iter().all(|n| n.starts_with("quarantined")),
+        "{serial:?}"
+    );
+    assert_eq!(notes_at(4), serial);
     let _ = std::fs::remove_dir_all(&root);
 }
