@@ -304,7 +304,7 @@ pub fn doctor_report_with_timelines(
     if !record.counters.is_empty() {
         out.push_str("\ncounters\n");
         for (name, v) in &record.counters {
-            let _ = writeln!(out, "    {name:<20} {v}");
+            let _ = writeln!(out, "    {name:<28} {v}");
         }
     }
     let _ = writeln!(

@@ -25,6 +25,9 @@ pub struct LogicalCpu {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Topology {
     cpus: Vec<LogicalCpu>,
+    /// `siblings[i]`: the other enabled logical CPU on CPU `i`'s physical
+    /// core, built once so the scheduler's per-event lookups are O(1).
+    siblings: Vec<Option<usize>>,
     physical_cores_enabled: usize,
     smt_enabled: bool,
 }
@@ -68,8 +71,17 @@ impl Topology {
             }
         }
         let physical_cores_enabled = cpus.iter().map(|c| c.physical).max().map_or(0, |m| m + 1);
+        let siblings = cpus
+            .iter()
+            .map(|me| {
+                cpus.iter()
+                    .find(|c| c.physical == me.physical && c.id != me.id)
+                    .map(|c| c.id)
+            })
+            .collect();
         Topology {
             cpus,
+            siblings,
             physical_cores_enabled,
             smt_enabled: smt && spec.smt_ways > 1,
         }
@@ -97,11 +109,7 @@ impl Topology {
 
     /// The logical CPU that shares a physical core with `cpu`, if enabled.
     pub fn sibling_of(&self, cpu: usize) -> Option<usize> {
-        let me = self.cpus.get(cpu)?;
-        self.cpus
-            .iter()
-            .find(|c| c.physical == me.physical && c.id != me.id)
-            .map(|c| c.id)
+        self.siblings.get(cpu).copied().flatten()
     }
 
     /// All enabled logical CPUs on the given physical core.

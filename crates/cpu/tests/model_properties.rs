@@ -76,3 +76,37 @@ proptest! {
         }
     }
 }
+
+/// The precomputed sibling table agrees with the definition it replaced —
+/// a linear scan for another enabled CPU on the same physical core — for
+/// every preset, every logical count, with and without SMT, including
+/// out-of-range ids.
+#[test]
+fn sibling_table_matches_scan_definition() {
+    for spec in [
+        presets::i7_8700k(),
+        presets::blake_2010_xeon(),
+        presets::flautner_2000_smp(),
+    ] {
+        for smt in [false, true] {
+            let ways = if smt { spec.smt_ways.max(1) } else { 1 };
+            for logical in 1..=spec.physical_cores * ways {
+                let t = Topology::with_logical_cpus(&spec, logical, smt);
+                for cpu in 0..logical + 2 {
+                    let scanned = t.cpus().get(cpu).and_then(|me| {
+                        t.cpus()
+                            .iter()
+                            .find(|c| c.physical == me.physical && c.id != me.id)
+                            .map(|c| c.id)
+                    });
+                    assert_eq!(
+                        t.sibling_of(cpu),
+                        scanned,
+                        "{} logical={logical} smt={smt} cpu={cpu}",
+                        spec.name
+                    );
+                }
+            }
+        }
+    }
+}

@@ -32,6 +32,67 @@ enum Ev {
     Signal(EventId, u64, Option<Tid>),
 }
 
+impl Ev {
+    /// Index of this entry's kind in [`EvCensus`] tallies.
+    fn kind(&self) -> usize {
+        match self {
+            Ev::StartThread(_) => 0,
+            Ev::Timer(..) => 1,
+            Ev::CompleteCompute(..) => 2,
+            Ev::Quantum(..) => 3,
+            Ev::GpuTick(..) => 4,
+            Ev::Signal(..) => 5,
+        }
+    }
+}
+
+/// Number of [`Ev`] kinds.
+const EV_KINDS: usize = 6;
+
+/// Self-tracer counter names of [`EvCensus::handled`], by [`Ev::kind`].
+const EV_HANDLED: [&str; EV_KINDS] = [
+    "machine/ev_start_handled",
+    "machine/ev_timer_handled",
+    "machine/ev_compute_handled",
+    "machine/ev_quantum_handled",
+    "machine/ev_gpu_handled",
+    "machine/ev_signal_handled",
+];
+
+/// Self-tracer counter names of [`EvCensus::stale`], by [`Ev::kind`].
+const EV_STALE: [&str; EV_KINDS] = [
+    "machine/ev_start_stale",
+    "machine/ev_timer_stale",
+    "machine/ev_compute_stale",
+    "machine/ev_quantum_stale",
+    "machine/ev_gpu_stale",
+    "machine/ev_signal_stale",
+];
+
+/// What the event loop did with every calendar entry it popped. Plain
+/// integers, flushed once per run to the self-tracer's diagnostic counters
+/// (free when tracing is off) and never into the metrics registry, so
+/// metric snapshots are unaffected.
+#[derive(Debug, Default)]
+struct EvCensus {
+    /// Entries that went through `sync`, `handle`, `dispatch`, `reprice`.
+    handled: [u64; EV_KINDS],
+    /// Entries dropped because their generation had moved on.
+    stale: [u64; EV_KINDS],
+    /// Quantum expiries with no contender, renewed without `sync`.
+    renewed: u64,
+}
+
+impl EvCensus {
+    fn flush(&self) {
+        for kind in 0..EV_KINDS {
+            span::counter_add(EV_HANDLED[kind], self.handled[kind]);
+            span::counter_add(EV_STALE[kind], self.stale[kind]);
+        }
+        span::counter_add("machine/ev_quantum_renewed", self.renewed);
+    }
+}
+
 #[derive(Debug)]
 #[allow(dead_code)] // variant payloads are read via Debug / debug_assert
 enum TState {
@@ -104,6 +165,8 @@ pub struct Machine {
     process_names: Vec<String>,
     ready: [VecDeque<Tid>; 3],
     cpus: Vec<CpuSlot>,
+    /// Logical CPUs with no current thread.
+    free_cpus: usize,
     sems: Vec<Sem>,
     gpus: Vec<GpuDevice>,
     gpu_gens: Vec<u64>,
@@ -111,9 +174,17 @@ pub struct Machine {
     gpu_waiters: HashMap<SubmissionId, Vec<Tid>>,
     trace: TraceBuilder,
     rng: Rng,
-    /// Set when occupancy changed; compute completions need re-pricing.
+    /// Set when occupancy or a running thread's work kind changed: compute
+    /// completions need re-pricing and the cached speeds are out of date.
     dirty: bool,
+    /// Ops/sec of every running thread with pending work, as of the last
+    /// reprice. Speeds only change where `dirty` is set, so `sync` can
+    /// integrate with these until the next reprice.
+    speeds: Vec<(Tid, f64)>,
+    /// SMT sibling pairs with both logical CPUs busy, as of the last reprice.
+    corun_pairs: u64,
     metrics: SchedMetrics,
+    census: EvCensus,
 }
 
 /// Tolerance on remaining ops when deciding a compute segment is finished
@@ -135,6 +206,7 @@ impl Machine {
                     gen: 0,
                 })
                 .collect(),
+            free_cpus: n,
             cfg,
             now: SimTime::ZERO,
             last_sync: SimTime::ZERO,
@@ -149,7 +221,10 @@ impl Machine {
             gpu_waiters: HashMap::new(),
             rng,
             dirty: false,
+            speeds: Vec::new(),
+            corun_pairs: 0,
             metrics: SchedMetrics::default(),
+            census: EvCensus::default(),
         }
     }
 
@@ -356,6 +431,12 @@ impl Machine {
     /// Runs the event loop until virtual time `t` (inclusive of events at
     /// `t`). Time always advances to exactly `t`.
     ///
+    /// Entries that cannot change machine state skip the loop body: stale
+    /// ones (their generation moved on) are dropped, and an uncontended
+    /// quantum expiry is renewed in place. Neither reads compute progress
+    /// or changes occupancy, so `sync`, `dispatch` and `reprice` after them
+    /// would be no-ops; progress is integrated only at live events.
+    ///
     /// # Panics
     /// Panics if `t` is in the past.
     pub fn run_until(&mut self, t: SimTime) {
@@ -366,6 +447,19 @@ impl Machine {
             }
             let (et, ev) = self.calendar.pop().expect("peeked");
             debug_assert!(et >= self.now);
+            let kind = ev.kind();
+            if self.is_stale(&ev) {
+                self.census.stale[kind] += 1;
+                continue;
+            }
+            if let Ev::Quantum(cpu, _) = ev {
+                if !self.quantum_contended(cpu) {
+                    self.arm_quantum(cpu, et);
+                    self.census.renewed += 1;
+                    continue;
+                }
+            }
+            self.census.handled[kind] += 1;
             self.now = et;
             // Aggregate-only phase timers: when the self-tracer is enabled
             // these fold into per-phase stats without ring slots (this loop
@@ -394,13 +488,15 @@ impl Machine {
         self.run_until(t);
     }
 
-    /// Seals and returns the trace, consuming the machine.
+    /// Seals and returns the trace, consuming the machine. Flushes the
+    /// run's event census to the self-tracer's counters.
     ///
     /// Debug builds run the [`etwtrace::verify`] invariant checker over the
     /// sealed stream: a scheduler bug that corrupts the emission contract
     /// (unbalanced waits, double CPU occupancy, broken GPU lifecycles)
     /// fails fast here instead of skewing downstream TLP/blame analysis.
     pub fn into_trace(self) -> EtlTrace {
+        self.census.flush();
         let trace = self.trace.finish(SimTime::ZERO, self.now);
         #[cfg(debug_assertions)]
         {
@@ -435,21 +531,34 @@ impl Machine {
 
     // ---- event handling ------------------------------------------------
 
+    /// True when `ev` was superseded after it was scheduled: its thread,
+    /// CPU or GPU generation has moved on, so handling it changes nothing.
+    fn is_stale(&self, ev: &Ev) -> bool {
+        match *ev {
+            Ev::Timer(tid, gen) | Ev::CompleteCompute(tid, gen) => {
+                self.threads[tid.0 as usize].gen != gen
+            }
+            Ev::Quantum(cpu, gen) => self.cpus[cpu].gen != gen,
+            Ev::GpuTick(gpu, gen) => self.gpu_gens[gpu] != gen,
+            Ev::StartThread(_) | Ev::Signal(..) => false,
+        }
+    }
+
+    /// Handles a live entry (see [`Machine::is_stale`]).
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::StartThread(tid) => self.advance_thread(tid),
-            Ev::Timer(tid, gen) => {
-                let th = &self.threads[tid.0 as usize];
-                if th.gen == gen && matches!(th.state, TState::Sleeping) {
-                    self.trace_wait_end(tid, WaitReason::Sleep, None);
-                    self.advance_thread(tid);
-                }
+            Ev::Timer(tid, _) => {
+                // A thread's generation moves on whenever it leaves Sleeping.
+                debug_assert!(matches!(
+                    self.threads[tid.0 as usize].state,
+                    TState::Sleeping
+                ));
+                self.trace_wait_end(tid, WaitReason::Sleep, None);
+                self.advance_thread(tid);
             }
-            Ev::CompleteCompute(tid, gen) => {
+            Ev::CompleteCompute(tid, _) => {
                 let th = &self.threads[tid.0 as usize];
-                if th.gen != gen {
-                    return;
-                }
                 if let TState::Running { .. } = th.state {
                     let done = th.pending.as_ref().is_none_or(|w| w.ops <= OPS_EPS);
                     if done {
@@ -460,11 +569,8 @@ impl Machine {
                     }
                 }
             }
-            Ev::Quantum(cpu, gen) => self.quantum_expired(cpu, gen),
-            Ev::GpuTick(gpu, gen) => {
-                if self.gpu_gens[gpu] != gen {
-                    return;
-                }
+            Ev::Quantum(cpu, _) => self.preempt(cpu),
+            Ev::GpuTick(gpu, _) => {
                 let mut events = Vec::new();
                 self.gpus[gpu].advance_to(self.now, &mut events);
                 self.emit_gpu_events(gpu, &events);
@@ -489,28 +595,21 @@ impl Machine {
     }
 
     /// Integrates compute progress of all running threads from `last_sync`
-    /// to `now` under the scheduling configuration that held in between.
+    /// to `now` under the scheduling configuration that held in between,
+    /// which is the one the last reprice cached.
     fn sync(&mut self) {
         if self.now <= self.last_sync {
             return;
         }
-        let elapsed = (self.now - self.last_sync).as_secs_f64();
-        let elapsed_ns = (self.now - self.last_sync).as_nanos();
-        let active_physical = self.active_physical();
-        for cpu in 0..self.cpus.len() {
-            let Some(tid) = self.cpus[cpu].current else {
-                continue;
-            };
-            // SMT co-residency: attribute the elapsed interval once per
-            // sibling pair that had both logical CPUs occupied.
-            if let Some(sib) = self.cfg.topology.sibling_of(cpu) {
-                if sib > cpu && self.cpus[sib].current.is_some() {
-                    self.metrics.smt_corun_ns.add(elapsed_ns);
-                }
-            }
-            let speed = self.thread_speed(cpu, active_physical);
-            let th = &mut self.threads[tid.0 as usize];
-            if let Some(work) = th.pending.as_mut() {
+        let elapsed = self.now - self.last_sync;
+        // SMT co-residency: the interval counts once per sibling pair that
+        // had both logical CPUs occupied.
+        self.metrics
+            .smt_corun_ns
+            .add(elapsed.as_nanos() * self.corun_pairs);
+        let elapsed = elapsed.as_secs_f64();
+        for &(tid, speed) in &self.speeds {
+            if let Some(work) = self.threads[tid.0 as usize].pending.as_mut() {
                 work.ops = (work.ops - elapsed * speed).max(-1.0);
             }
         }
@@ -741,6 +840,7 @@ impl Machine {
         debug_assert_eq!(self.cpus[cpu].current, Some(tid));
         self.cpus[cpu].current = None;
         self.cpus[cpu].gen += 1; // cancel the quantum
+        self.free_cpus += 1;
         let pid = self.threads[tid.0 as usize].pid;
         self.trace.push(TraceEvent::CSwitch {
             at: self.now,
@@ -759,7 +859,7 @@ impl Machine {
     /// SMT sibling is idle (Windows-style placement), honouring priority
     /// classes and affinity masks.
     fn dispatch(&mut self) {
-        'outer: while self.any_ready() {
+        'outer: while self.free_cpus > 0 && self.any_ready() {
             // Highest class first; within a class, FIFO over threads that
             // still have an allowed free CPU.
             let mut picked: Option<(usize, Tid)> = None;
@@ -798,12 +898,8 @@ impl Machine {
             }
             th.last_cpu = Some(cpu);
             self.cpus[cpu].current = Some(tid);
-            self.cpus[cpu].gen += 1;
-            let gen = self.cpus[cpu].gen;
-            self.calendar.schedule(
-                self.now.saturating_add(self.cfg.quantum),
-                Ev::Quantum(cpu, gen),
-            );
+            self.free_cpus -= 1;
+            self.arm_quantum(cpu, self.now);
             self.trace.push(TraceEvent::CSwitch {
                 at: self.now,
                 cpu,
@@ -836,46 +932,60 @@ impl Machine {
         fallback
     }
 
-    fn quantum_expired(&mut self, cpu: usize, gen: u64) {
-        if self.cpus[cpu].gen != gen {
-            return;
-        }
-        let Some(tid) = self.cpus[cpu].current else {
-            return;
-        };
+    /// Starts a fresh time slice on `cpu` at `at`, cancelling any earlier
+    /// one.
+    fn arm_quantum(&mut self, cpu: usize, at: SimTime) {
+        self.cpus[cpu].gen += 1;
+        let gen = self.cpus[cpu].gen;
+        self.calendar
+            .schedule(at.saturating_add(self.cfg.quantum), Ev::Quantum(cpu, gen));
+    }
+
+    /// Whether a ready thread of equal or higher class than the one on
+    /// `cpu` may run there, so a live quantum expiry must preempt rather
+    /// than renew.
+    fn quantum_contended(&self, cpu: usize) -> bool {
+        let tid = self.cpus[cpu].current.expect("live quantum on idle cpu");
         let running_class = self.threads[tid.0 as usize].priority;
-        let contender = self.best_ready_class_for(cpu);
-        if contender.is_none_or(|c| c > running_class) {
-            // No equal-or-higher-class thread wants this CPU: renew.
-            self.cpus[cpu].gen += 1;
-            let gen = self.cpus[cpu].gen;
-            self.calendar.schedule(
-                self.now.saturating_add(self.cfg.quantum),
-                Ev::Quantum(cpu, gen),
-            );
-            return;
-        }
-        // Preempt: back of the queue, keep remaining work.
+        self.best_ready_class_for(cpu)
+            .is_some_and(|c| c <= running_class)
+    }
+
+    /// A contended quantum expired: the thread on `cpu` goes to the back of
+    /// its ready queue, keeping its remaining work.
+    fn preempt(&mut self, cpu: usize) {
+        let tid = self.cpus[cpu].current.expect("live quantum on idle cpu");
         self.metrics.preemptions.inc();
         self.release_cpu(tid, cpu);
         self.trace_wait_begin(tid, WaitReason::Preempted);
         self.make_ready(tid);
     }
 
-    /// Re-projects compute-completion times after occupancy changed.
+    /// Re-projects compute-completion times after occupancy or a work kind
+    /// changed, and caches the speeds and SMT co-running pairs that `sync`
+    /// integrates with until the next change.
     fn reprice_if_dirty(&mut self) {
         if !self.dirty {
             return;
         }
         self.dirty = false;
+        self.speeds.clear();
+        self.corun_pairs = 0;
         let active_physical = self.active_physical();
         for cpu in 0..self.cpus.len() {
             let Some(tid) = self.cpus[cpu].current else {
                 continue;
             };
+            if let Some(sib) = self.cfg.topology.sibling_of(cpu) {
+                if sib > cpu && self.cpus[sib].current.is_some() {
+                    self.corun_pairs += 1;
+                }
+            }
             let Some(work) = self.threads[tid.0 as usize].pending else {
                 continue;
             };
+            let speed = self.thread_speed(cpu, active_physical);
+            self.speeds.push((tid, speed));
             let th = &mut self.threads[tid.0 as usize];
             th.gen += 1;
             let gen = th.gen;
@@ -884,7 +994,6 @@ impl Machine {
                     .schedule(self.now, Ev::CompleteCompute(tid, gen));
                 continue;
             }
-            let speed = self.thread_speed(cpu, active_physical);
             let secs = work.ops / speed;
             let t = self
                 .now
@@ -1226,6 +1335,38 @@ mod tests {
                 "missing machine/{phase} phase stat"
             );
         }
+    }
+
+    #[test]
+    fn event_census_accounts_for_every_popped_entry() {
+        // 13 always-ready threads on 12 CPUs: every dispatch and every
+        // preemption reprices, superseding in-flight compute completions.
+        let mut m = study_machine(12);
+        let pid = m.add_process("census.exe");
+        for i in 0..13 {
+            m.spawn(
+                pid,
+                &format!("w{i}"),
+                Box::new(Burn {
+                    segments: 40,
+                    ms: 3.0,
+                    kind: ComputeKind::Scalar,
+                }),
+            );
+        }
+        m.run_for(SimDuration::from_millis(100));
+        let census = &m.census;
+        let handled: u64 = census.handled.iter().sum();
+        let stale: u64 = census.stale.iter().sum();
+        let cal = m.calendar.stats();
+        assert_eq!(
+            handled + stale + census.renewed,
+            cal.scheduled - cal.pending as u64,
+            "{census:?}"
+        );
+        let compute = Ev::CompleteCompute(Tid(0), 0).kind();
+        assert!(census.stale[compute] > 0, "{census:?}");
+        assert!(census.handled[compute] > 0, "{census:?}");
     }
 
     #[test]
