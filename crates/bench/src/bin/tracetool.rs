@@ -25,17 +25,20 @@
 //! 0 = clean, 1 = findings (verify diagnostics, diff regression),
 //! 2 = usage error or corrupt input.
 //!
-//! `info` summarizes a trace file without materializing it: container
-//! generation, event/record counts, string-table size, window duration,
-//! the per-CPU context-switch histogram and the per-wait-reason census —
-//! all through the streaming decoder, so checksums are still enforced.
+//! `info` summarizes a trace file without materializing its events:
+//! container generation, event/record counts, string-table size, window
+//! duration, the per-CPU context-switch histogram and the per-wait-reason
+//! census. It reads the file into memory and decodes it in one sequential
+//! pass, checksums enforced.
 //!
 //! The analysis subcommands (`verify`, `tlp`, `latency`, `bottlenecks`,
 //! `critical-path`, `timeline`) open the file through one loader and
 //! decode its blocks on one worker per hardware thread, never
-//! materializing the event vector; the reports are byte-identical at any
-//! worker count. A revision-2 SETL v3 file (what `pack` and `synth` write)
-//! is indexed in place. Flat v1/v2 files and revision-1 v3 streams carry no
+//! materializing the event vector: one worker folds blocks in trace order
+//! while the others decode ahead. The reports are byte-identical at any
+//! worker count. `tlp` drives its four ordered statistics from one such
+//! pass. A revision-2 SETL v3 file (what `pack` and `synth` write) is
+//! indexed in place. Flat v1/v2 files and revision-1 v3 streams carry no
 //! block index, so the loader decodes them and re-encodes them as revision
 //! 2 first.
 
@@ -107,30 +110,25 @@ fn main() {
             let (t, filter) = Blocked::open_filtered(&args, "tlp");
             let (pool, n) = (&t.pool, t.shards);
             let profile = t.ok(analysis::concurrency_sharded(&t.trace, &filter, pool, n));
-            let util = t.ok(analysis::gpu_utilization_sharded(
-                &t.trace, &filter, None, pool, n,
-            ));
-            let lat = t.ok(analysis::scheduling_latency_sharded(
-                &t.trace, &filter, pool, n,
-            ));
-            let sched = t.ok(analysis::schedule_stats_sharded(&t.trace, &filter, pool, n));
-            let engines = t.ok(analysis::gpu_engine_breakdown_sharded(
-                &t.trace, &filter, 0, pool, n,
-            ));
+            let stats = t.ok(analysis::ordered_stats_sharded(&t.trace, &filter, pool, n));
             println!("processes        : {}", filter.len());
             println!("TLP              : {:.3}", profile.tlp());
             println!("max concurrency  : {}", profile.max_concurrency());
-            println!("GPU utilization  : {:.2} %", util.percent());
+            println!("GPU utilization  : {:.2} %", stats.gpu.percent());
             println!(
                 "sched latency    : mean {:.0} µs, p95 {:.0} µs",
-                lat.mean_us, lat.p95_us
+                stats.latency.mean_us, stats.latency.p95_us
             );
             println!(
                 "run episodes     : {} (mean {:.2} ms, max {:.1} ms), {} migrations",
-                sched.episodes, sched.mean_slice_ms, sched.max_slice_ms, sched.migrations
+                stats.schedule.episodes,
+                stats.schedule.mean_slice_ms,
+                stats.schedule.max_slice_ms,
+                stats.schedule.migrations
             );
-            if !engines.is_empty() {
-                let parts: Vec<String> = engines
+            if !stats.engines.is_empty() {
+                let parts: Vec<String> = stats
+                    .engines
                     .iter()
                     .map(|(e, f)| {
                         let name = if *e == u32::MAX {

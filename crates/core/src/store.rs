@@ -284,7 +284,7 @@ impl SimStore {
         let (reg_bytes, rest) = r.split_at(reg_len);
         r = rest;
         let registry = simobs::Registry::from_bytes(reg_bytes)?;
-        let trace = setl3::read_setl3(&mut r).map_err(|e| format!("trace: {e}"))?;
+        let trace = setl3::decode(&mut r).map_err(|e| format!("trace: {e}"))?;
         if !r.is_empty() {
             return Err("trailing bytes after trace".into());
         }
@@ -488,6 +488,27 @@ mod tests {
         atomic_write(&path, &bytes[..bytes.len() / 3]).unwrap();
         assert!(matches!(store.load(&key), LoadOutcome::Quarantined { .. }));
         assert!(matches!(store.load(&key), LoadOutcome::Miss));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn bytes_after_the_trace_quarantine() {
+        let store = tmp_store("trailing");
+        let (key, run) = tiny_run();
+        store.save(&key, &run).unwrap();
+        let path = store.entry_path(&key);
+        let bytes = std::fs::read(&path).unwrap();
+        // One extra byte between the trace and a re-sealed entry checksum:
+        // every checksum passes, only the framing check can catch it.
+        let mut forged = bytes[..bytes.len() - 8].to_vec();
+        forged.push(0);
+        let hash = fnv1a(FNV_OFFSET, &forged);
+        forged.extend_from_slice(&hash.to_le_bytes());
+        atomic_write(&path, &forged).unwrap();
+        let LoadOutcome::Quarantined { reason } = store.load(&key) else {
+            panic!("an entry with bytes after its trace must be quarantined");
+        };
+        assert_eq!(reason, "trailing bytes after trace");
         let _ = std::fs::remove_dir_all(store.root());
     }
 

@@ -922,55 +922,55 @@ pub fn concurrency_sharded(
     })
 }
 
-/// Sharded twin of [`gpu_utilization`]: blocks decode in parallel, the fold
-/// runs in trace order — bit-identical output.
+/// The statistics `tracetool tlp` reports beside the concurrency profile:
+/// four ordered folds computed from one decode of the trace.
+#[derive(Clone, Debug, PartialEq)]
+pub struct OrderedStats {
+    /// [`gpu_utilization`] of the filtered processes on every GPU.
+    pub gpu: GpuUtil,
+    /// [`scheduling_latency`] of the filtered processes.
+    pub latency: LatencyStats,
+    /// [`schedule_stats`] of the filtered processes.
+    pub schedule: ScheduleStats,
+    /// [`gpu_engine_breakdown`] of the filtered processes on GPU 0.
+    pub engines: Vec<(u32, f64)>,
+}
+
+/// Drives the folds behind [`gpu_utilization`], [`scheduling_latency`],
+/// [`schedule_stats`] and [`gpu_engine_breakdown`] from one ordered pass
+/// over a sharded trace: blocks decode in parallel, every fold sees the
+/// events in trace order, so each field is bit-identical to its
+/// materialized analyzer.
 ///
 /// # Errors
 /// Any block decode or checksum error.
-pub fn gpu_utilization_sharded(
-    trace: &ShardedTrace,
-    filter: &PidSet,
-    gpu: Option<usize>,
-    runner: &dyn ShardRunner,
-    shards: usize,
-) -> io::Result<GpuUtil> {
-    let mut fold = GpuUtilFold::new(filter, gpu, trace.start(), trace.end());
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
-    Ok(fold.finish())
-}
-
-/// Sharded twin of [`schedule_stats`] (see [`gpu_utilization_sharded`]).
-///
-/// # Errors
-/// Any block decode or checksum error.
-pub fn schedule_stats_sharded(
+pub fn ordered_stats_sharded(
     trace: &ShardedTrace,
     filter: &PidSet,
     runner: &dyn ShardRunner,
     shards: usize,
-) -> io::Result<ScheduleStats> {
-    let mut fold = ScheduleStatsFold::new(filter);
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
-    Ok(fold.finish())
+) -> io::Result<OrderedStats> {
+    let (start, end) = (trace.start(), trace.end());
+    let mut util = GpuUtilFold::new(filter, None, start, end);
+    let mut latency = LatencyFold::new(filter);
+    let mut schedule = ScheduleStatsFold::new(filter);
+    let mut engines = EngineFold::new(filter, 0, start, end);
+    trace.fold_events(runner, shards, |ev| {
+        util.push(ev);
+        latency.push(ev);
+        schedule.push(ev);
+        engines.push(ev);
+    })?;
+    Ok(OrderedStats {
+        gpu: util.finish(),
+        latency: latency.finish(),
+        schedule: schedule.finish(),
+        engines: engines.finish(),
+    })
 }
 
-/// Sharded twin of [`gpu_engine_breakdown`] (see [`gpu_utilization_sharded`]).
-///
-/// # Errors
-/// Any block decode or checksum error.
-pub fn gpu_engine_breakdown_sharded(
-    trace: &ShardedTrace,
-    filter: &PidSet,
-    gpu: usize,
-    runner: &dyn ShardRunner,
-    shards: usize,
-) -> io::Result<Vec<(u32, f64)>> {
-    let mut fold = EngineFold::new(filter, gpu, trace.start(), trace.end());
-    trace.fold_events(runner, shards, |ev| fold.push(ev))?;
-    Ok(fold.finish())
-}
-
-/// Sharded twin of [`scheduling_latency`] (see [`gpu_utilization_sharded`]).
+/// Sharded twin of [`scheduling_latency`] (see [`GpuUtilFold`] for the
+/// determinism argument).
 ///
 /// # Errors
 /// Any block decode or checksum error.
@@ -1068,16 +1068,13 @@ mod tests {
         let filter = trace.pids_by_name("app");
         for shards in [1usize, 4] {
             assert_eq!(
-                gpu_utilization(&trace, &filter, None),
-                gpu_utilization_sharded(&sharded, &filter, None, &SerialShards, shards).unwrap()
-            );
-            assert_eq!(
-                schedule_stats(&trace, &filter),
-                schedule_stats_sharded(&sharded, &filter, &SerialShards, shards).unwrap()
-            );
-            assert_eq!(
-                gpu_engine_breakdown(&trace, &filter, 0),
-                gpu_engine_breakdown_sharded(&sharded, &filter, 0, &SerialShards, shards).unwrap()
+                ordered_stats_sharded(&sharded, &filter, &SerialShards, shards).unwrap(),
+                OrderedStats {
+                    gpu: gpu_utilization(&trace, &filter, None),
+                    latency: scheduling_latency(&trace, &filter),
+                    schedule: schedule_stats(&trace, &filter),
+                    engines: gpu_engine_breakdown(&trace, &filter, 0),
+                }
             );
             assert_eq!(
                 scheduling_latency(&trace, &filter),

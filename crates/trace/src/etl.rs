@@ -12,8 +12,9 @@
 //! consumer reads old and new traces transparently; `tracetool pack` /
 //! `unpack` convert between the generations.
 //!
-//! Generic functions take `R: Read` / `W: Write` by value; pass `&mut r`
-//! for a reader you want to keep using.
+//! Generic functions take `R: Read` / `W: Write` by value. Readers read
+//! their input to its end and decode from the bytes; pass `&mut w` for a
+//! writer you want to keep using.
 
 use crate::event::{EtlTrace, ThreadKey, TraceBuilder, TraceEvent, WaitReason};
 use simcore::SimTime;
@@ -53,7 +54,9 @@ pub fn write_etl<W: Write>(trace: &EtlTrace, mut w: W) -> io::Result<()> {
 /// # Errors
 /// Returns `InvalidData` for a bad magic/version or malformed records, and
 /// propagates I/O errors from the reader.
-pub fn read_etl<R: Read>(mut r: R) -> io::Result<EtlTrace> {
+pub fn read_etl<R: Read>(r: R) -> io::Result<EtlTrace> {
+    let bytes = read_all(r)?;
+    let mut r = bytes.as_slice();
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -65,7 +68,7 @@ pub fn read_etl<R: Read>(mut r: R) -> io::Result<EtlTrace> {
     let mut gen = [0u8; 1];
     r.read_exact(&mut gen)?;
     if gen[0] == b'3' {
-        return crate::setl3::read_setl3_after_magic(r);
+        return crate::setl3::decode_after_magic(&mut r);
     }
     let mut sp = simobs::span::span("codec", "read_etl");
     let mut rest = [0u8; 3];
@@ -172,13 +175,16 @@ impl TraceInfo {
     }
 }
 
-/// Summarizes a trace file in one streaming pass — both generations, same
-/// magic sniffing as [`read_etl`], full checksum verification on v3 — while
-/// folding counts instead of building an [`EtlTrace`].
+/// Summarizes a trace file in one sequential pass over its bytes — both
+/// generations, same magic sniffing as [`read_etl`], full checksum
+/// verification on v3 — while folding counts instead of building an
+/// [`EtlTrace`].
 ///
 /// # Errors
 /// Same conditions as [`read_etl`].
-pub fn trace_info<R: Read>(mut r: R) -> io::Result<TraceInfo> {
+pub fn trace_info<R: Read>(r: R) -> io::Result<TraceInfo> {
+    let bytes = read_all(r)?;
+    let mut r = bytes.as_slice();
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -228,6 +234,13 @@ pub fn trace_info<R: Read>(mut r: R) -> io::Result<TraceInfo> {
     }
     sp.add_events(info.events);
     Ok(info)
+}
+
+/// Reads `r` to its end: the file readers decode from one byte slice.
+pub(crate) fn read_all<R: Read>(mut r: R) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    Ok(bytes)
 }
 
 fn write_event<W: Write>(w: &mut W, ev: &TraceEvent) -> io::Result<()> {

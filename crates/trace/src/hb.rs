@@ -152,6 +152,26 @@ impl Analyzer {
         idx
     }
 
+    /// Joins thread `from`'s clock into thread `into`'s in place, through
+    /// split borrows of the clock table. A thread joined with itself is
+    /// unchanged.
+    fn join_threads(&mut self, into: usize, from: usize) {
+        let (into, from) = match into.cmp(&from) {
+            std::cmp::Ordering::Equal => return,
+            std::cmp::Ordering::Less => {
+                let (lo, hi) = self.clocks.split_at_mut(from);
+                (lo.get_mut(into), hi.first())
+            }
+            std::cmp::Ordering::Greater => {
+                let (lo, hi) = self.clocks.split_at_mut(into);
+                (hi.first_mut(), lo.get(from))
+            }
+        };
+        if let (Some(into), Some(from)) = (into, from) {
+            clock_join(into, from);
+        }
+    }
+
     /// Ticks `key`'s own clock component (it performed an observable step).
     fn tick(&mut self, key: ThreadKey) -> usize {
         let idx = self.idx(key);
@@ -307,14 +327,14 @@ impl Analyzer {
                     }
                     if let Some(w) = waker {
                         let widx = a.idx(*w);
-                        let wclock = a.clocks[widx].clone();
-                        clock_join(&mut a.clocks[idx], &wclock);
+                        a.join_threads(idx, widx);
                         a.n_wake_edges += 1;
                     }
                 }
                 if let Some((gpu, packet)) = reason.gpu_packet() {
-                    if let Some(pc) = a.packet_clocks.get(&(gpu as u64, packet)).cloned() {
-                        clock_join(&mut a.clocks[idx], &pc);
+                    let packet_clock = a.packet_clocks.get(&(gpu as u64, packet));
+                    if let (Some(pc), Some(own)) = (packet_clock, a.clocks.get_mut(idx)) {
+                        clock_join(own, pc);
                         a.n_gpu_edges += 1;
                     }
                 }

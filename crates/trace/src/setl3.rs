@@ -32,6 +32,13 @@
 //!   the file. Sequential readers are unaffected: the record encoding is
 //!   identical, blocks are contiguous, and the index parses forward.
 //!
+//! Every reader decodes from bytes in memory. The sequential reader
+//! (`V3Stream`, behind [`read_setl3`], [`decode`], `etl::trace_info` and
+//! `timeline::read_timeline`) checks each record's check byte against the
+//! FNV-1a of that record's bytes and the trailer against the FNV-1a of
+//! everything before it; the block reader ([`crate::shard::ShardedTrace`])
+//! checks block hashes instead. Both parse the header with one function.
+//!
 //! The stream starts with the 5-byte magic `SETL3`. [`crate::etl::read_etl`]
 //! sniffs it and dispatches here, so every reader in the workspace accepts
 //! both generations transparently; `tracetool pack`/`unpack` convert
@@ -323,26 +330,41 @@ impl<W: Write> V3Writer<W> {
     }
 }
 
-/// Decodes a SETL v3 stream, including the 5-byte magic.
+/// Decodes a SETL v3 stream, including the 5-byte magic. The reader is
+/// read to its end first; bytes after the stream's trailer are ignored
+/// (use [`decode`] to see them).
 ///
 /// # Errors
 /// Returns `InvalidData` for a bad magic/version, malformed records or any
 /// checksum mismatch, and propagates I/O errors from the reader.
 pub fn read_setl3<R: Read>(mut r: R) -> io::Result<EtlTrace> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    decode(&mut bytes.as_slice())
+}
+
+/// Decodes the SETL v3 stream at the front of `r`, including the 5-byte
+/// magic, and advances `r` past the stream's trailer, so a container that
+/// embeds a stream can check what follows it.
+///
+/// # Errors
+/// Same conditions as [`read_setl3`].
+pub fn decode(r: &mut &[u8]) -> io::Result<EtlTrace> {
     let mut magic = [0u8; 5];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(bad("not a SETL3 trace stream"));
     }
-    read_setl3_after_magic(r)
+    decode_after_magic(r)
 }
 
 /// Decodes the remainder of a v3 stream once the 5-byte magic has already
-/// been consumed (the dispatch path in [`crate::etl::read_etl`]).
+/// been consumed (the dispatch path in [`crate::etl::read_etl`]), advancing
+/// `r` past the trailer.
 ///
 /// # Errors
 /// Same conditions as [`read_setl3`].
-pub fn read_setl3_after_magic<R: Read>(r: R) -> io::Result<EtlTrace> {
+pub(crate) fn decode_after_magic(r: &mut &[u8]) -> io::Result<EtlTrace> {
     let mut sp = simobs::span::span("codec", "read_setl3");
     let mut stream = V3Stream::open(r)?;
     let mut builder = TraceBuilder::new(stream.header.n_logical);
@@ -351,6 +373,7 @@ pub fn read_setl3_after_magic<R: Read>(r: R) -> io::Result<EtlTrace> {
     }
     sp.add_events(stream.header.count);
     sp.add_bytes(stream.bytes_read());
+    *r = stream.rest;
     Ok(builder.finish(stream.header.start, stream.header.end))
 }
 
@@ -369,31 +392,74 @@ pub(crate) struct V3Header {
     pub count: u64,
 }
 
-/// A streaming v3 decoder: parses the header up front, then yields one
-/// event at a time without materializing the whole trace. Shared by
-/// [`read_setl3_after_magic`] (which feeds a [`TraceBuilder`]) and the
-/// `tracetool info` triage path (which only folds counts).
+/// Parses the header fields after the revision byte — dimensions, window,
+/// string table and record count — leaving `r` at the first record. The
+/// one header parser behind [`V3Stream`] and [`crate::shard::ShardedTrace`].
+pub(crate) fn parse_header(r: &mut &[u8]) -> io::Result<(V3Header, Vec<String>)> {
+    let n_logical = get_uv(r)? as usize;
+    if n_logical as u64 > 1 << 20 {
+        return Err(bad("implausible logical CPU count"));
+    }
+    let start = SimTime::from_nanos(get_uv(r)?);
+    let window = get_uv(r)?;
+    let end = SimTime::from_nanos(start.as_nanos().checked_add(window).ok_or_else(overflow)?);
+
+    let n_strings = get_uv(r)?;
+    if n_strings > MAX_STRINGS {
+        return Err(bad("string table too large"));
+    }
+    let mut strings: Vec<String> = Vec::with_capacity(n_strings as usize);
+    let mut string_bytes = 0u64;
+    for _ in 0..n_strings {
+        let len = get_uv(r)?;
+        if len > MAX_STRING_LEN {
+            return Err(bad("string too long"));
+        }
+        string_bytes += len;
+        let mut buf = vec![0u8; len as usize];
+        r.read_exact(&mut buf)?;
+        strings.push(String::from_utf8(buf).map_err(|_| bad("invalid utf-8 string"))?);
+    }
+
+    let header = V3Header {
+        n_logical,
+        start,
+        end,
+        n_strings,
+        string_bytes,
+        count: get_uv(r)?,
+    };
+    Ok((header, strings))
+}
+
+/// The sequential v3 decoder: parses the header up front, then yields one
+/// event at a time from a byte slice without materializing the whole
+/// trace. Shared by [`decode`] (which feeds a [`TraceBuilder`]), the
+/// `tracetool info` census and the streaming timeline, which only fold.
 ///
-/// Checksums are still enforced in full: per-record check bytes as records
-/// are pulled, and the 64-bit file trailer when the last record has been
-/// consumed.
-pub(crate) struct V3Stream<R: Read> {
-    r: HashingReader<R>,
+/// Checksums are still enforced in full: each record's check byte against
+/// the FNV-1a of that record's bytes as records are pulled, and the 64-bit
+/// file trailer against the FNV-1a of everything before it once the last
+/// record has been consumed.
+pub(crate) struct V3Stream<'a> {
+    /// The stream from just past the magic.
+    buf: &'a [u8],
+    /// The part of `buf` not consumed yet.
+    rest: &'a [u8],
     pub header: V3Header,
     /// Stream revision: [`REV1`] (flat record area) or [`VERSION`] (blocked).
     pub revision: u8,
     strings: Vec<String>,
     clocks: Clocks,
     yielded: u64,
-    bytes: u64,
     finished: bool,
 }
 
-impl<R: Read> V3Stream<R> {
-    /// Parses the revision byte, dimensions and string table. The reader
-    /// must be positioned just past the 5-byte magic.
-    pub fn open(r: R) -> io::Result<Self> {
-        let mut r = HashingReader::new(r, fnv1a(FNV_OFFSET, MAGIC));
+impl<'a> V3Stream<'a> {
+    /// Parses the revision byte, dimensions and string table. `buf` starts
+    /// just past the 5-byte magic.
+    pub fn open(buf: &'a [u8]) -> io::Result<Self> {
+        let mut r = buf;
         let mut version = [0u8; 1];
         r.read_exact(&mut version)?;
         // lint:allow(analyzer-panic): `version` is a fixed 1-byte array just
@@ -401,49 +467,16 @@ impl<R: Read> V3Stream<R> {
         if version[0] != VERSION && version[0] != REV1 {
             return Err(bad("unsupported SETL3 revision"));
         }
-        let n_logical = get_uv(&mut r)? as usize;
-        let start = SimTime::from_nanos(get_uv(&mut r)?);
-        let window = get_uv(&mut r)?;
-        let end = SimTime::from_nanos(start.as_nanos().checked_add(window).ok_or_else(overflow)?);
-        if end < start {
-            return Err(bad("inverted trace window"));
-        }
-
-        let n_strings = get_uv(&mut r)?;
-        if n_strings > MAX_STRINGS {
-            return Err(bad("string table too large"));
-        }
-        let mut strings: Vec<String> = Vec::with_capacity(n_strings as usize);
-        let mut string_bytes = 0u64;
-        for _ in 0..n_strings {
-            let len = get_uv(&mut r)?;
-            if len > MAX_STRING_LEN {
-                return Err(bad("string too long"));
-            }
-            string_bytes += len;
-            let mut buf = vec![0u8; len as usize];
-            r.read_exact(&mut buf)?;
-            strings.push(String::from_utf8(buf).map_err(|_| bad("invalid utf-8 string"))?);
-        }
-
-        let count = get_uv(&mut r)?;
-        let clocks = Clocks::new(n_logical, start);
+        let (header, strings) = parse_header(&mut r)?;
         Ok(V3Stream {
-            r,
-            header: V3Header {
-                n_logical,
-                start,
-                end,
-                n_strings,
-                string_bytes,
-                count,
-            },
+            buf,
+            rest: r,
+            header,
             // lint:allow(analyzer-panic): same fixed 1-byte array as above.
             revision: version[0],
             strings,
-            clocks,
+            clocks: Clocks::new(header.n_logical, header.start),
             yielded: 0,
-            bytes: 0,
             finished: false,
         })
     }
@@ -451,27 +484,28 @@ impl<R: Read> V3Stream<R> {
     /// Consumes the revision-2 trailing block index so the file trailer can
     /// verify. A sequential reader needs none of its contents — blocks are
     /// contiguous — so the entries are parsed for structure only; every
-    /// byte still flows through the hashing reader.
+    /// byte is still covered by the trailer check.
     fn skip_block_index(&mut self) -> io::Result<()> {
-        let n_blocks = get_uv(&mut self.r)?;
+        let r = &mut self.rest;
+        let n_blocks = get_uv(r)?;
         if n_blocks > self.header.count {
             return Err(bad("block index larger than record count"));
         }
         let snapshot_clocks = self.header.n_logical.max(1) as u64;
         for _ in 0..n_blocks {
-            let _records = get_uv(&mut self.r)?;
-            let _bytes = get_uv(&mut self.r)?;
+            let _records = get_uv(r)?;
+            let _bytes = get_uv(r)?;
             let mut hash = [0u8; 8];
-            self.r.read_exact(&mut hash)?;
+            r.read_exact(&mut hash)?;
             for _ in 0..=snapshot_clocks {
                 // global clock offset + one offset per CPU
-                let _clock = get_uv(&mut self.r)?;
+                let _clock = get_uv(r)?;
             }
         }
         let mut meta = [0u8; 8];
-        self.r.read_exact(&mut meta)?;
+        r.read_exact(&mut meta)?;
         let mut index_len = [0u8; 8];
-        self.r.read_exact(&mut index_len)?;
+        r.read_exact(&mut index_len)?;
         Ok(())
     }
 
@@ -484,37 +518,37 @@ impl<R: Read> V3Stream<R> {
                 if self.revision >= 2 {
                     self.skip_block_index()?;
                 }
-                let file_hash = self.r.hash();
+                let file_hash = fnv1a(fnv1a(FNV_OFFSET, MAGIC), consumed(self.buf, self.rest));
                 let mut trailer = [0u8; 8];
-                self.r.read_exact(&mut trailer)?;
-                self.bytes = self.r.hashed_bytes();
+                self.rest.read_exact(&mut trailer)?;
                 if u64::from_le_bytes(trailer) != file_hash {
                     return Err(bad("file checksum mismatch"));
                 }
             }
             return Ok(None);
         }
-        self.r.begin_record();
-        let ev = decode_event(&mut self.r, &self.strings, &mut self.clocks)?;
-        let expect = self.r.record_hash() as u8;
+        let record_start = self.rest;
+        let ev = decode_event(&mut self.rest, &self.strings, &mut self.clocks)?;
+        let expect = fnv1a(FNV_OFFSET, consumed(record_start, self.rest)) as u8;
         let mut check = [0u8; 1];
-        self.r.read_exact(&mut check)?;
-        if check[0] != expect {
+        self.rest.read_exact(&mut check)?;
+        if check != [expect] {
             return Err(bad("record checksum mismatch"));
         }
         self.yielded += 1;
         Ok(Some(ev))
     }
 
-    /// Bytes consumed so far (including the already-sniffed magic, and the
+    /// Bytes consumed so far, including the already-sniffed magic (and the
     /// trailer once the stream is drained).
     pub fn bytes_read(&self) -> u64 {
-        if self.finished {
-            self.bytes + MAGIC.len() as u64
-        } else {
-            self.r.hashed_bytes() + MAGIC.len() as u64
-        }
+        (MAGIC.len() + consumed(self.buf, self.rest).len()) as u64
     }
+}
+
+/// The prefix of `whole` that precedes its suffix `rest`.
+fn consumed<'a>(whole: &'a [u8], rest: &[u8]) -> &'a [u8] {
+    whole.split_at(whole.len() - rest.len()).0
 }
 
 /// The interned string carried by an event, if any.
@@ -563,7 +597,7 @@ fn encode_at(out: &mut Vec<u8>, at: SimTime, cpu: Option<usize>, clocks: &mut Cl
     put_uv(out, delta);
 }
 
-fn decode_at<R: Read>(r: &mut R, cpu: Option<usize>, clocks: &mut Clocks) -> io::Result<SimTime> {
+fn decode_at(r: &mut &[u8], cpu: Option<usize>, clocks: &mut Clocks) -> io::Result<SimTime> {
     let delta = get_uv(r)?;
     let clock = clocks.reference(cpu);
     let at = clock.checked_add(delta).ok_or_else(overflow)?;
@@ -680,14 +714,12 @@ fn encode_event(out: &mut Vec<u8>, ev: &TraceEvent, strings: &StringIds, clocks:
     }
 }
 
-pub(crate) fn decode_event<R: Read>(
-    r: &mut R,
+pub(crate) fn decode_event(
+    r: &mut &[u8],
     strings: &[String],
     clocks: &mut Clocks,
 ) -> io::Result<TraceEvent> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    Ok(match tag[0] {
+    Ok(match get_u8(r)? {
         0 => {
             let at = decode_at(r, None, clocks)?;
             TraceEvent::ProcessStart {
@@ -815,10 +847,8 @@ fn put_reason(out: &mut Vec<u8>, reason: WaitReason) {
     }
 }
 
-fn get_reason<R: Read>(r: &mut R) -> io::Result<WaitReason> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    Ok(match tag[0] {
+fn get_reason(r: &mut &[u8]) -> io::Result<WaitReason> {
+    Ok(match get_u8(r)? {
         0 => WaitReason::Preempted,
         1 => WaitReason::Yield,
         2 => WaitReason::Sleep,
@@ -831,7 +861,7 @@ fn get_reason<R: Read>(r: &mut R) -> io::Result<WaitReason> {
     })
 }
 
-fn get_interned<R: Read>(r: &mut R, strings: &[String]) -> io::Result<String> {
+fn get_interned(r: &mut &[u8], strings: &[String]) -> io::Result<String> {
     let idx = get_uv(r)? as usize;
     strings
         .get(idx)
@@ -844,7 +874,7 @@ fn put_key(out: &mut Vec<u8>, key: ThreadKey) {
     put_uv(out, key.tid);
 }
 
-fn get_key<R: Read>(r: &mut R) -> io::Result<ThreadKey> {
+fn get_key(r: &mut &[u8]) -> io::Result<ThreadKey> {
     Ok(ThreadKey {
         pid: get_uv(r)?,
         tid: get_uv(r)?,
@@ -863,7 +893,7 @@ fn put_opt_key(out: &mut Vec<u8>, key: Option<ThreadKey>) {
     }
 }
 
-fn get_opt_key<R: Read>(r: &mut R) -> io::Result<Option<ThreadKey>> {
+fn get_opt_key(r: &mut &[u8]) -> io::Result<Option<ThreadKey>> {
     let tag = get_uv(r)?;
     if tag == 0 {
         return Ok(None);
@@ -888,13 +918,11 @@ fn put_uv(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// LEB128 unsigned varint decode (at most 10 bytes).
-pub(crate) fn get_uv<R: Read>(r: &mut R) -> io::Result<u64> {
+pub(crate) fn get_uv(r: &mut &[u8]) -> io::Result<u64> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        let b = byte[0];
+        let b = get_u8(r)?;
         if shift >= 63 && b > 1 {
             return Err(bad("varint overflows u64"));
         }
@@ -909,55 +937,19 @@ pub(crate) fn get_uv<R: Read>(r: &mut R) -> io::Result<u64> {
     }
 }
 
-fn get_u32v<R: Read>(r: &mut R) -> io::Result<u32> {
+/// The next byte; the end of the input is the `UnexpectedEof` error
+/// `read_exact` reports.
+#[inline]
+fn get_u8(r: &mut &[u8]) -> io::Result<u8> {
+    let (&b, rest) = r.split_first().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::UnexpectedEof, "failed to fill whole buffer")
+    })?;
+    *r = rest;
+    Ok(b)
+}
+
+fn get_u32v(r: &mut &[u8]) -> io::Result<u32> {
     u32::try_from(get_uv(r)?).map_err(|_| bad("value exceeds u32"))
-}
-
-/// A reader that FNV-hashes every byte it yields: the whole-stream hash for
-/// the trailer check, plus a per-record sub-hash for the record check byte.
-struct HashingReader<R> {
-    inner: R,
-    hash: u64,
-    record: u64,
-    bytes: u64,
-}
-
-impl<R: Read> HashingReader<R> {
-    fn new(inner: R, seed: u64) -> Self {
-        HashingReader {
-            inner,
-            hash: seed,
-            record: FNV_OFFSET,
-            bytes: 0,
-        }
-    }
-
-    fn begin_record(&mut self) {
-        self.record = FNV_OFFSET;
-    }
-
-    fn record_hash(&self) -> u64 {
-        self.record
-    }
-
-    fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// Bytes pulled through the reader so far.
-    fn hashed_bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hash = fnv1a(self.hash, &buf[..n]);
-        self.record = fnv1a(self.record, &buf[..n]);
-        self.bytes += n as u64;
-        Ok(n)
-    }
 }
 
 pub(crate) fn bad(msg: &str) -> io::Error {

@@ -1,14 +1,15 @@
 //! Sharded zero-copy access to revision-2 SETL v3 streams.
 //!
-//! [`crate::setl3::V3Stream`] decodes a trace front to back; every analyzer
-//! that used it first materialized a full `Vec<TraceEvent>`. This module is
-//! the other half of the revision-2 container: [`ShardedTrace`] holds the
-//! raw bytes, parses the trailing block index, and hands out independent
-//! [`BlockCursor`]s — one per 4096-record block — that decode records **in
-//! place** from the shared byte buffer. No seek-from-start, no whole-trace
-//! materialization, and every block is integrity-checked on its own (the
-//! index carries a 64-bit FNV-1a hash per block, and the index itself is
-//! covered by `meta_hash`, seeded from the header hash).
+//! [`crate::setl3::V3Stream`] decodes a trace front to back, so an analyzer
+//! on it either folds serially or materializes a full `Vec<TraceEvent>`
+//! first. This module is the other half of the revision-2 container:
+//! [`ShardedTrace`] holds the raw bytes, parses the trailing block index,
+//! and hands out independent [`BlockCursor`]s — one per 4096-record block —
+//! that decode records **in place** from the shared byte buffer. No
+//! seek-from-start, no whole-trace materialization, and every block is
+//! integrity-checked on its own (the index carries a 64-bit FNV-1a hash per
+//! block, and the index itself is covered by `meta_hash`, seeded from the
+//! header hash).
 //!
 //! Parallelism is injected, not owned: analyzers drive shards through the
 //! [`ShardRunner`] trait so this crate never spawns a thread. `parastat`'s
@@ -17,9 +18,10 @@
 //!
 //! Determinism rules (see DESIGN.md §14): block decode order is free, but
 //! every fold over events happens **in block order on one thread**
-//! ([`ShardedTrace::fold_events`]), or as per-shard partials merged in shard
-//! order by the analyzer. Either way the bytes an analyzer report renders to
-//! are identical at any shard count.
+//! ([`ShardedTrace::fold_events`], a pipeline in which one worker folds
+//! while the others decode ahead), or as per-shard partials merged in
+//! shard order by the analyzer. Either way the bytes an analyzer report
+//! renders to are identical at any shard count.
 //!
 //! Integrity on the sharded path: `meta_hash` covers the header plus the
 //! block index, and each block hash covers its record bytes, so any
@@ -34,7 +36,7 @@ use simcore::SimTime;
 use std::io::{self, Read};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Executes `f(0..shards)` on some set of workers. Implemented by
 /// `parastat::runner::ThreadPoolRunner` (scoped threads) and by
@@ -42,7 +44,10 @@ use std::sync::Mutex;
 /// concurrently from multiple threads.
 pub trait ShardRunner: Sync {
     /// Calls `f(i)` exactly once for every `i in 0..shards`, possibly
-    /// concurrently, returning after all calls complete.
+    /// concurrently, returning after all calls complete. `f(0)` runs on the
+    /// calling thread, before any other call that runs there: the ordered
+    /// fold puts its folder on shard 0, so the fold state lives with the
+    /// caller's and no other shard can block the calling thread first.
     fn run_shards(&self, shards: usize, f: &(dyn Fn(usize) + Sync));
 
     /// Worker parallelism (1 for serial runners) — the default shard count.
@@ -130,35 +135,10 @@ impl ShardedTrace {
             _ => return Err(setl3::bad("unsupported SETL3 revision")),
         }
 
-        // Header, exactly as V3Stream::open parses it.
         let mut r: &[u8] = &bytes[MAGIC.len() + 1..];
-        let n_logical = setl3::get_uv(&mut r)? as usize;
-        if n_logical as u64 > 1 << 20 {
-            return Err(setl3::bad("implausible logical CPU count"));
-        }
-        let start = SimTime::from_nanos(setl3::get_uv(&mut r)?);
-        let window = setl3::get_uv(&mut r)?;
-        let end = SimTime::from_nanos(
-            start
-                .as_nanos()
-                .checked_add(window)
-                .ok_or_else(|| setl3::bad("timestamp overflows u64 nanoseconds"))?,
-        );
-        let n_strings = setl3::get_uv(&mut r)?;
-        if n_strings > setl3::MAX_STRINGS {
-            return Err(setl3::bad("string table too large"));
-        }
-        let mut strings: Vec<String> = Vec::with_capacity(n_strings as usize);
-        for _ in 0..n_strings {
-            let len = setl3::get_uv(&mut r)?;
-            if len > setl3::MAX_STRING_LEN {
-                return Err(setl3::bad("string too long"));
-            }
-            let mut buf = vec![0u8; len as usize];
-            r.read_exact(&mut buf)?;
-            strings.push(String::from_utf8(buf).map_err(|_| setl3::bad("invalid utf-8 string"))?);
-        }
-        let count = setl3::get_uv(&mut r)?;
+        let (header, strings) = setl3::parse_header(&mut r)?;
+        let (n_logical, start, end, count) =
+            (header.n_logical, header.start, header.end, header.count);
         let record_start = bytes.len() - r.len();
 
         // Tail: [index entries | meta_hash 8B] [index_len 8B] [trailer 8B].
@@ -441,66 +421,132 @@ impl ShardedTrace {
     }
 
     /// Streams every event through `f` **in trace order** while blocks
-    /// decode in parallel on `runner`: waves of `2 × shards` blocks are
-    /// decoded concurrently, then folded serially in block order. Memory
-    /// stays bounded by one wave (≈ `2 × shards × 4096` events) no matter
-    /// how large the trace is, and the fold sees the exact event sequence a
-    /// sequential reader would — so any analyzer fold driven through here
-    /// is byte-identical to its materialized twin by construction.
+    /// decode in parallel on `runner`, as one pipelined pass.
+    ///
+    /// Shard 0, on the calling thread, is the folder: it consumes blocks
+    /// strictly in block order and, whenever its next block is not ready
+    /// yet, decodes the next unclaimed block itself instead of idling. The
+    /// other shards decode ahead, at most `2 × shards` blocks past the fold
+    /// position, so memory stays bounded by that window (≈ `2 × shards ×
+    /// 4096` events) however large the trace is. The fold sees the exact
+    /// event sequence a sequential reader would, so any analyzer fold
+    /// driven through here is byte-identical to its materialized twin by
+    /// construction.
+    ///
+    /// No wait can deadlock (DESIGN.md §14.2): the folder only waits for a
+    /// block another worker has claimed, a worker never waits while it
+    /// holds a claim, and decode-ahead workers wait only for the window,
+    /// which the folder — first on the calling thread — opens as it folds.
     ///
     /// # Errors
-    /// The first decode error in block order.
-    pub fn fold_events<F>(
-        &self,
-        runner: &dyn ShardRunner,
-        shards: usize,
-        mut f: F,
-    ) -> io::Result<()>
+    /// The first decode error in block order; the workers stop claiming
+    /// blocks past it.
+    pub fn fold_events<F>(&self, runner: &dyn ShardRunner, shards: usize, f: F) -> io::Result<()>
     where
-        F: FnMut(&TraceEvent),
+        F: FnMut(&TraceEvent) + Send,
     {
+        let n = self.blocks.len();
+        if n == 0 {
+            return Ok(());
+        }
         let shards = shards.max(1);
-        let wave = shards * 2;
-        let mut base = 0;
-        while base < self.blocks.len() {
-            let n = wave.min(self.blocks.len() - base);
-            type Slot = Mutex<Option<io::Result<Vec<TraceEvent>>>>;
-            let slots: Vec<Slot> = (0..n).map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            runner.run_shards(shards.min(n), &|_shard| {
-                let mut worker = simobs::span::span("shard", "worker");
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    worker.add_events(1);
-                    let res = {
-                        let mut sp = simobs::span::span("shard", "decode");
-                        sp.add_events(self.blocks[base + i].records);
-                        sp.add_bytes(self.blocks[base + i].len as u64);
-                        self.decode_block(base + i)
-                    };
-                    // lint:allow(analyzer-panic): a poisoned slot means a
-                    // worker already panicked; propagating is the only
-                    // sound option
-                    *slots[i].lock().expect("decode slot poisoned") = Some(res);
-                }
-            });
-            for slot in slots {
-                let decoded = slot
-                    .into_inner()
-                    // lint:allow(analyzer-panic): same poisoning argument as above
-                    .expect("decode slot poisoned")
-                    // lint:allow(analyzer-panic): the claim loop covers 0..n, so every slot is filled
-                    .expect("every wave slot claimed")?;
-                for ev in &decoded {
+        let pipe = Pipeline {
+            state: Mutex::new(PipeState {
+                next: 0,
+                limit: n,
+                fold_pos: 0,
+                ready: (0..2 * shards).map(|_| None).collect(),
+                stop: false,
+            }),
+            changed: Condvar::new(),
+        };
+        let fold = Mutex::new(f);
+        let outcome: Mutex<Option<io::Result<()>>> = Mutex::new(None);
+        runner.run_shards(shards.min(n), &|shard| {
+            let mut worker = simobs::span::span("shard", "worker");
+            if shard == 0 {
+                let mut f = lock(&fold);
+                let res = self.fold_in_order(&pipe, &mut *f, &mut worker);
+                *lock(&outcome) = Some(res);
+            } else {
+                self.decode_ahead(&pipe, &mut worker);
+            }
+        });
+        outcome
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .unwrap_or_else(|| Err(setl3::bad("the shard runner never ran shard 0")))
+    }
+
+    /// The folder's loop in [`ShardedTrace::fold_events`].
+    fn fold_in_order<F: FnMut(&TraceEvent)>(
+        &self,
+        pipe: &Pipeline,
+        f: &mut F,
+        worker: &mut simobs::span::Span,
+    ) -> io::Result<()> {
+        // However the fold ends, release the decoders.
+        let _stop = StopGuard { pipe, always: true };
+        let n = self.blocks.len();
+        let mut st = pipe.lock();
+        while st.fold_pos < n {
+            let slot = st.fold_pos % st.ready.len();
+            if let Some(decoded) = st.ready[slot].take() {
+                st.fold_pos += 1;
+                drop(st);
+                pipe.changed.notify_all();
+                for ev in &decoded? {
                     f(ev);
                 }
+                st = pipe.lock();
+            } else if let Some(b) = st.claim() {
+                drop(st);
+                let decoded = self.decode_claimed(b, worker);
+                st = pipe.lock();
+                st.deposit(b, decoded);
+            } else if st.stop {
+                return Err(setl3::bad("a block decode worker panicked"));
+            } else {
+                st = pipe.wait(st);
             }
-            base += n;
         }
         Ok(())
+    }
+
+    /// A decode-ahead worker's loop in [`ShardedTrace::fold_events`].
+    fn decode_ahead(&self, pipe: &Pipeline, worker: &mut simobs::span::Span) {
+        // A panicking decode must not leave the folder waiting for its block.
+        let _stop = StopGuard {
+            pipe,
+            always: false,
+        };
+        let mut st = pipe.lock();
+        loop {
+            if let Some(b) = st.claim() {
+                drop(st);
+                let decoded = self.decode_claimed(b, worker);
+                st = pipe.lock();
+                st.deposit(b, decoded);
+                pipe.changed.notify_all();
+            } else if st.stop || st.next >= st.limit {
+                return;
+            } else {
+                st = pipe.wait(st);
+            }
+        }
+    }
+
+    /// Decodes one claimed block under a `shard/decode` span.
+    fn decode_claimed(
+        &self,
+        b: usize,
+        worker: &mut simobs::span::Span,
+    ) -> io::Result<Vec<TraceEvent>> {
+        worker.add_events(1);
+        let mut sp = simobs::span::span("shard", "decode");
+        sp.add_events(self.blocks[b].records);
+        sp.add_bytes(self.blocks[b].len as u64);
+        self.decode_block(b)
     }
 
     /// The pids whose image name starts with `prefix` (case-insensitive) —
@@ -532,6 +578,86 @@ impl ShardedTrace {
         })?;
         Ok(per_shard.into_iter().flatten().collect())
     }
+}
+
+/// Shared state of one [`ShardedTrace::fold_events`] pass.
+struct Pipeline {
+    state: Mutex<PipeState>,
+    /// Signalled when a decoded block lands or the fold position moves.
+    changed: Condvar,
+}
+
+struct PipeState {
+    /// The next block no worker has claimed.
+    next: usize,
+    /// Claims stop here: the block count, or one past the first block
+    /// whose decode failed.
+    limit: usize,
+    /// The block the folder consumes next.
+    fold_pos: usize,
+    /// Decoded blocks waiting for the fold, at `block % ready.len()`; the
+    /// length is the decode-ahead window.
+    ready: Vec<Option<io::Result<Vec<TraceEvent>>>>,
+    /// Set when the fold ends (done, failed or unwinding) or a decoder
+    /// unwinds: no further claims.
+    stop: bool,
+}
+
+impl PipeState {
+    /// Claims the next block if it is inside the window and before the
+    /// limit.
+    fn claim(&mut self) -> Option<usize> {
+        let b = self.next;
+        let open = !self.stop && b < self.limit && b < self.fold_pos + self.ready.len();
+        open.then(|| {
+            self.next += 1;
+            b
+        })
+    }
+
+    /// Parks a decoded block for the folder; a failed decode caps the
+    /// claims at that block.
+    fn deposit(&mut self, b: usize, decoded: io::Result<Vec<TraceEvent>>) {
+        if decoded.is_err() {
+            self.limit = self.limit.min(b + 1);
+        }
+        let slot = b % self.ready.len();
+        self.ready[slot] = Some(decoded);
+    }
+}
+
+impl Pipeline {
+    fn lock(&self) -> MutexGuard<'_, PipeState> {
+        lock(&self.state)
+    }
+
+    fn wait<'a>(&self, st: MutexGuard<'a, PipeState>) -> MutexGuard<'a, PipeState> {
+        self.changed
+            .wait(st)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Stops the pipeline when dropped: always for the folder, and only while
+/// unwinding for a decoder.
+struct StopGuard<'a> {
+    pipe: &'a Pipeline,
+    always: bool,
+}
+
+impl Drop for StopGuard<'_> {
+    fn drop(&mut self) {
+        if self.always || std::thread::panicking() {
+            self.pipe.lock().stop = true;
+            self.pipe.changed.notify_all();
+        }
+    }
+}
+
+/// Locks `m`, ignoring poisoning: a worker that panicked while holding a
+/// lock re-raises its panic to the caller through the runner anyway.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// In-place decoder over one block's bytes: borrows the shared buffer and

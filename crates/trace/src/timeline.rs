@@ -10,11 +10,11 @@
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Streaming.** [`read_timeline`] decodes straight off the reader —
-//!   SETL v3 through the checksum-enforcing [`crate::setl3::V3Stream`],
-//!   flat v2 record by record — and never materializes a `Vec<TraceEvent>`.
-//!   Live state is O(threads + CPUs + engines), independent of trace
-//!   length: the first analyzer on the zero-copy path.
+//! * **Streaming.** [`read_timeline`] decodes the file's bytes in one
+//!   sequential pass — SETL v3 through the checksum-enforcing
+//!   [`crate::setl3::V3Stream`], flat v2 record by record — and never
+//!   materializes a `Vec<TraceEvent>`. Fold state is O(threads + CPUs +
+//!   engines), independent of trace length.
 //! * **Exact conservation.** All accounting is integer nanoseconds. Bucket
 //!   widths are `duration / n` with the remainder spread over the first
 //!   `duration % n` buckets, so widths sum exactly to the window, and every
@@ -476,14 +476,16 @@ pub fn timeline_sharded(
     Ok(f.finish())
 }
 
-/// Folds a trace file straight off the reader — both container
-/// generations, full checksum verification on v3, and no `Vec<TraceEvent>`
-/// is ever built.
+/// Folds a trace file in one sequential pass over its bytes — both
+/// container generations, full checksum verification on v3, and no
+/// `Vec<TraceEvent>` is ever built.
 ///
 /// # Errors
 /// Same conditions as [`crate::etl::read_etl`]: bad magic/version,
 /// malformed records, checksum mismatches, reader I/O errors.
-pub fn read_timeline<R: Read>(mut r: R, n_buckets: usize) -> io::Result<Timeline> {
+pub fn read_timeline<R: Read>(r: R, n_buckets: usize) -> io::Result<Timeline> {
+    let bytes = etl::read_all(r)?;
+    let mut r = bytes.as_slice();
     let mut sp = simobs::span::span("analyzer", "timeline");
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
